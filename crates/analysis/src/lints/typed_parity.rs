@@ -2,8 +2,11 @@
 //! typed-error crates (`rfbist-core`, `rfbist-sampling`) that can
 //! panic must have a `try_*` twin, and the panicking form must be a
 //! thin delegate over it (`try_*(..).unwrap_or_else(|e| panic!(..))`,
-//! or a one-expression forward to another such wrapper — the
-//! `run` → `run_with` → `try_run_with` chain).
+//! as `PnbsGridPlan::stream_blocks_parallel` delegates to
+//! `try_stream_blocks_parallel`, or a one-expression forward to
+//! another wrapper that itself has a `try_*` twin).
+//! `rfbist-core` keeps only the typed form of each entry point, so
+//! every thin-delegate pair the lint checks lives in `rfbist-sampling`.
 //!
 //! Panic capability propagates: a `pub fn` whose body only calls a
 //! panicking sibling in the same file can panic too (that is exactly

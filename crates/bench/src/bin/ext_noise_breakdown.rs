@@ -35,13 +35,14 @@ fn median_err(bits: u32, jitter: JitterModel, placement: JitterPlacement) -> f64
             fast_cfg.jitter = jitter;
             let mut fast = BpTiadc::new(fast_cfg);
             let mut slow = BpTiadc::new(slow_cfg);
-            let cost = DualRateCost::paper_probes(
+            let cost = DualRateCost::try_paper_probes(
                 fast.capture(&tx, 80, 260),
                 slow.capture(&tx, 40, 160),
                 cfg,
                 300,
                 42 + seed,
-            );
+            )
+            .expect("Section V probe setup");
             let r = estimate_skew_lms(&cost, LmsConfig::paper_default(100e-12));
             (r.estimate - cfg.delay()).abs() * 1e12
         })

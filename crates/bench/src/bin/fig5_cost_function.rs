@@ -48,7 +48,9 @@ fn main() {
     println!();
 
     // uniqueness over the full admissible interval
-    let candidates = cost.sweep_candidates(96);
+    let candidates = cost
+        .try_sweep_candidates(96)
+        .expect("two or more candidates");
     let grid = par::map_with(&candidates, || cost.evaluator(), |ev, &d| ev.eval(d));
     let sweep: Vec<(f64, f64)> = candidates.iter().copied().zip(grid).collect();
     let mut minima = 0;

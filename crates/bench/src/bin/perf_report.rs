@@ -171,7 +171,9 @@ struct CostGridResult {
 
 fn bench_cost_grid(cfg: &Config) -> CostGridResult {
     let cost = paper_cost(Frontend::Paper, cfg.probes, 42);
-    let candidates = cost.sweep_candidates(cfg.candidates);
+    let candidates = cost
+        .try_sweep_candidates(cfg.candidates)
+        .expect("two or more candidates");
 
     let mut reference_grid = Vec::new();
     let reference_ns = median_ns_per_op(cfg.reps, candidates.len(), || {
@@ -293,15 +295,32 @@ fn bench_mask_scan(cfg: &Config) -> MaskScanResult {
     let mut banked_report = None;
     let banked_ns = median_ns_per_op(cfg.reps, verdicts, || {
         for _ in 0..verdicts {
-            let scan =
-                MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+            let scan = MaskScanEngine::try_build(
+                &mask,
+                FC,
+                FS_GRID,
+                seg,
+                overlap,
+                Window::BlackmanHarris,
+                None,
+            )
+            .expect("benchmark mask resolves on the scan grid");
             banked_report = Some(black_box(
                 scan.try_scan(&wave)
                     .expect("benchmark wave spans a segment"),
             ));
         }
     });
-    let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+    let scan = MaskScanEngine::try_build(
+        &mask,
+        FC,
+        FS_GRID,
+        seg,
+        overlap,
+        Window::BlackmanHarris,
+        None,
+    )
+    .expect("benchmark mask resolves on the scan grid");
 
     let fft_report = fft_report.expect("fft verdict");
     let banked_report = banked_report.expect("banked verdict");
@@ -354,7 +373,16 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
     // interleaved, so slow drift on a shared machine (the dominant
     // noise source at ~10 ms per verdict) hits every configuration
     // equally and cancels out of the ratios.
-    let scan = MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+    let scan = MaskScanEngine::try_build(
+        &mask,
+        FC,
+        FS_GRID,
+        seg,
+        overlap,
+        Window::BlackmanHarris,
+        None,
+    )
+    .expect("benchmark mask resolves on the scan grid");
     let mut grid = GridScratch::new();
     let mut stream_scratch = StreamScratch::new();
     // The engine's own auto resolution, so the parallel case measures
@@ -382,8 +410,16 @@ fn bench_stream_bist(cfg: &Config) -> StreamBistResult {
             let mut batch_grid = GridScratch::new();
             rec.reconstruct_grid(&cap, lo, dt, points, &mut batch_grid);
             let wave = batch_grid.into_values();
-            let batch_scan =
-                MaskScanEngine::new(&mask, FC, FS_GRID, seg, overlap, Window::BlackmanHarris);
+            let batch_scan = MaskScanEngine::try_build(
+                &mask,
+                FC,
+                FS_GRID,
+                seg,
+                overlap,
+                Window::BlackmanHarris,
+                None,
+            )
+            .expect("benchmark mask resolves on the scan grid");
             batch_report = Some(black_box(
                 batch_scan
                     .try_scan(&wave)
@@ -499,7 +535,9 @@ fn bench_service(cfg: &Config) -> ServiceResult {
     use rfbist_core::service::{ServiceConfig, SharedSignal, VerdictJob, VerdictService};
     use std::sync::Arc;
 
-    let mut bist = BistConfig::paper_default().with_calibrated_skew(D);
+    let mut bist = BistConfig::paper_default()
+        .try_with_calibrated_skew(D)
+        .expect("positive delay");
     bist.grid_len = 2048;
     bist.stream_workers = 1;
     let mask = SpectralMask::qpsk_10msym();

@@ -57,7 +57,9 @@ fn main() {
         worker_counts.push(worker_counts.last().expect("non-empty") * 2);
     }
 
-    let mut bist = BistConfig::paper_default().with_calibrated_skew(180e-12);
+    let mut bist = BistConfig::paper_default()
+        .try_with_calibrated_skew(180e-12)
+        .expect("positive delay");
     bist.grid_len = 2048;
     bist.stream_workers = 1;
     let mask = SpectralMask::qpsk_10msym();

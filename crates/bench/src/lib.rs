@@ -48,7 +48,10 @@ pub fn paper_cost(frontend: Frontend, n_probes: usize, seed: u64) -> DualRateCos
         // The ideal arm is the canonical fixture shared with the
         // integration tests — one definition, so benches and the
         // plan-equivalence suite always measure the same object.
-        Frontend::Ideal => return rfbist::fixtures::paper_cost_fixture(n_probes, seed),
+        Frontend::Ideal => {
+            return rfbist::fixtures::paper_cost_fixture(n_probes, seed)
+                .expect("Section V probe setup")
+        }
         Frontend::Paper | Frontend::PaperCommonMode => {
             let placement = if frontend == Frontend::Paper {
                 JitterPlacement::DcdeOnly
@@ -69,13 +72,14 @@ pub fn paper_cost(frontend: Frontend, n_probes: usize, seed: u64) -> DualRateCos
     let tx = paper_stimulus(96, 0xACE1);
     let mut fast = BpTiadc::new(fast_cfg);
     let mut slow = BpTiadc::new(slow_cfg);
-    DualRateCost::paper_probes(
+    DualRateCost::try_paper_probes(
         fast.capture(&tx, 80, 260),
         slow.capture(&tx, 40, 160),
         cfg,
         n_probes,
         seed,
     )
+    .expect("Section V probe setup")
 }
 
 /// Chunked `std::thread::scope` parallelism for the experiment

@@ -14,7 +14,7 @@
 use crate::cost::DualRateCost;
 use crate::error::BistError;
 use crate::health::{CaptureHealth, HealthPolicy};
-use crate::lms::{estimate_skew_lms, LmsConfig};
+use crate::lms::{estimate_skew_lms, LmsConfig, LmsResult};
 use crate::mask::SpectralMask;
 use crate::report::BistReport;
 use crate::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
@@ -25,7 +25,7 @@ use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_sampling::dualrate::DualRateConfig;
 use rfbist_sampling::gridplan::{GridScratch, GRID_BLOCK_LEN};
-use rfbist_sampling::reconstruct::PnbsReconstructor;
+use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
 use rfbist_signal::traits::ContinuousSignal;
 
 /// How the engine places the cost function's probe times.
@@ -36,7 +36,7 @@ pub enum ProbeSchedule {
     /// pinned against, kept selectable for reproducing them.
     Random,
     /// A uniform midpoint grid over the coverage intersection
-    /// ([`DualRateCost::grid_probes`]) — the default. Statistically
+    /// ([`DualRateCost::try_grid_probes`]) — the default. Statistically
     /// equivalent to the random draws for skew estimation (pinned by
     /// `grid_probe_schedule_matches_random_schedule`), and every LMS
     /// cost evaluation then reconstructs both captures through the
@@ -51,7 +51,7 @@ pub enum ProbeSchedule {
 /// How the engine turns the reconstructed waveform into a mask verdict.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScanStrategy {
-    /// Full Welch/FFT PSD over every bin, then [`SpectralMask::check`] —
+    /// Full Welch/FFT PSD over every bin, then [`SpectralMask::try_check`] —
     /// the reference path, kept verbatim for equivalence testing.
     FftWelch,
     /// Banked-Goertzel scan ([`MaskScanEngine`]) evaluating only the
@@ -137,19 +137,8 @@ pub struct NoiseFigureConfig {
 impl NoiseFigureConfig {
     /// A measurement band over `[offset_lo, offset_hi]` Hz from the
     /// carrier against the reference noise floor
-    /// `reference_density_dbhz` (dB/Hz), with no verdict limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band is malformed.
-    pub fn new(offset_lo: f64, offset_hi: f64, reference_density_dbhz: f64) -> Self {
-        Self::try_new(offset_lo, offset_hi, reference_density_dbhz)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) (same `[offset_lo, offset_hi]` Hz band and
-    /// `reference_density_dbhz` dB/Hz floor) returning a typed
-    /// [`BistError::InvalidConfig`] on a malformed band.
+    /// `reference_density_dbhz` (dB/Hz), with no verdict limit; a
+    /// malformed band is a typed [`BistError::InvalidConfig`].
     pub fn try_new(
         offset_lo: f64,
         offset_hi: f64,
@@ -222,7 +211,7 @@ pub struct BistConfig {
     /// skips the per-run cost/LMS estimation and reconstructs with
     /// this delay. Skew is a hardware property of the sampler, not of
     /// the stimulus — estimate it once on a wideband calibration burst
-    /// ([`BistEngine::calibrate_skew`]) and reuse it across
+    /// ([`BistEngine::try_calibrate_skew`]) and reuse it across
     /// per-standard verdicts. This closes the narrowband trap: a
     /// GSM-like 270 ksym/s carrier leaves the dual-rate cost surface
     /// nearly flat and the LMS settles ~170 ps off, while a 10 Msym/s
@@ -305,19 +294,8 @@ impl BistConfig {
     }
 
     /// Builder-style: reuse an externally calibrated skew (seconds),
-    /// bypassing the per-run LMS estimation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is not a positive finite delay.
-    pub fn with_calibrated_skew(self, delay: f64) -> Self {
-        self.try_with_calibrated_skew(delay)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`with_calibrated_skew`](Self::with_calibrated_skew) returning
-    /// a typed [`BistError::InvalidConfig`] on a non-positive or
-    /// non-finite delay.
+    /// bypassing the per-run LMS estimation; a non-positive or
+    /// non-finite delay is a typed [`BistError::InvalidConfig`].
     pub fn try_with_calibrated_skew(mut self, delay: f64) -> Result<Self, BistError> {
         if !(delay.is_finite() && delay > 0.0) {
             return Err(BistError::InvalidConfig {
@@ -377,9 +355,10 @@ pub fn welch_segmentation(grid_len: usize) -> (usize, usize) {
 /// Reusable engine buffers: grid-reconstruction scratch, streaming-scan
 /// scratch and the prepared [`MaskScanEngine`] (cached against its
 /// configuration), so sweep loops
-/// ([`run_with`](BistEngine::run_with)) stop paying per-verdict
+/// ([`try_run_with`](BistEngine::try_run_with)) stop paying per-verdict
 /// allocation and scanner construction. One fresh instance per
-/// [`run`](BistEngine::run) preserves the allocating convenience form.
+/// [`try_run`](BistEngine::try_run) preserves the allocating
+/// convenience form.
 #[derive(Clone, Debug, Default)]
 pub struct BistScratch {
     grid: GridScratch,
@@ -389,7 +368,6 @@ pub struct BistScratch {
 
 impl BistScratch {
     /// An empty scratch.
-    // analysis: allow(typed-error-parity) — infallible struct-literal constructor (panic capability is a same-file name match against `NoiseFigureConfig::new`)
     pub fn new() -> Self {
         Self::default()
     }
@@ -466,7 +444,6 @@ pub struct BistEngine {
 
 impl BistEngine {
     /// Creates an engine from a configuration.
-    // analysis: allow(typed-error-parity) — infallible struct-literal constructor (panic capability is a same-file name match against `NoiseFigureConfig::new`)
     pub fn new(config: BistConfig) -> Self {
         BistEngine { config }
     }
@@ -481,18 +458,7 @@ impl BistEngine {
     /// `reference` is given, the report also carries the relative RMS
     /// error between the reconstruction and that reference (Δε in the
     /// paper's Table I). Sweep loops should prefer
-    /// [`run_with`](Self::run_with).
-    pub fn run<S: ContinuousSignal, R: ContinuousSignal>(
-        &self,
-        dut: &S,
-        mask: &SpectralMask,
-        reference: Option<&R>,
-    ) -> BistReport {
-        self.run_with(dut, mask, reference, &mut BistScratch::new())
-    }
-
-    /// [`run`](Self::run) returning a typed [`BistError`] instead of
-    /// panicking on unusable captures or undecidable scans.
+    /// [`try_run_with`](Self::try_run_with).
     pub fn try_run<S: ContinuousSignal, R: ContinuousSignal>(
         &self,
         dut: &S,
@@ -502,15 +468,14 @@ impl BistEngine {
         self.try_run_with(dut, mask, reference, &mut BistScratch::new())
     }
 
-    /// [`run`](Self::run) with caller-owned [`BistScratch`], so
+    /// [`try_run`](Self::try_run) with caller-owned [`BistScratch`], so
     /// repeated verdicts (fault sweeps, multi-standard loops, benches)
     /// reuse the scan buffers and the prepared scanner instead of
     /// reallocating them per call; the in-thread block feed
     /// (`stream_workers` resolving to 1) and the `FftWelch` path also
     /// reuse the grid scratch. Parallel producers own per-worker grid
     /// scratches for the duration of the call — bounded per-verdict
-    /// setup that the reconstruction win amortizes (a persistent
-    /// worker pool is a ROADMAP item).
+    /// setup that the reconstruction win amortizes.
     ///
     /// Under [`ScanStrategy::BankedGoertzel`] the analysis grid is
     /// streamed: reconstruction blocks feed the scan as they are
@@ -521,27 +486,18 @@ impl BistEngine {
     /// `early_exit` flag records this; Δε then covers only the
     /// reconstructed prefix). [`ScanStrategy::FftWelch`] keeps the
     /// batch reference pipeline byte-identical.
-    pub fn run_with<S: ContinuousSignal, R: ContinuousSignal>(
-        &self,
-        dut: &S,
-        mask: &SpectralMask,
-        reference: Option<&R>,
-        scratch: &mut BistScratch,
-    ) -> BistReport {
-        self.try_run_with(dut, mask, reference, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_with`](Self::run_with) returning a typed [`BistError`]
-    /// instead of panicking — the fail-safe entry point:
+    ///
+    /// Fail-safe: every failure is a typed [`BistError`], never a
+    /// panic.
     ///
     /// - raw captures are health-scanned **before** calibration
     ///   ([`CaptureHealth::scan`]; NaN would poison the calibration
     ///   means), rejecting NaN/saturated/dead captures and annotating
     ///   marginal clipping on the report;
     /// - geometry problems (capture too short for the tap window or
-    ///   the analysis grid, scan grid without mask coverage) come back
-    ///   as values;
+    ///   the analysis grid, scan grid without mask coverage) and
+    ///   invalid skew-search settings (no probes, a non-positive LMS
+    ///   start) come back as values;
     /// - a panicking parallel-feed producer is supervised: the engine
     ///   retries the parallel feed once, then falls back to the
     ///   bit-identical sequential feed, and surfaces the recovery on
@@ -556,14 +512,11 @@ impl BistEngine {
     ) -> Result<BistReport, BistError> {
         let cfg = &self.config;
 
-        // 1 + 2. fast-rate capture, pre-calibration health guard, and
-        //        offset/gain background calibration (the slow channel
-        //        is only needed when the skew must be estimated on
-        //        this run)
-        let mut fast_adc = BpTiadc::new(cfg.frontend_fast);
-        let fast_raw = fast_adc.capture(dut, cfg.fast_start, cfg.fast_len);
-        let capture_health = CaptureHealth::scan(&fast_raw, &cfg.frontend_fast, &cfg.health)?;
-        let (fast_cap, _) = auto_calibrate(&fast_raw);
+        // 1 + 2. fast-rate capture, health guard and background
+        //        calibration (the slow channel is only needed when the
+        //        skew must be estimated on this run)
+        let (fast_cap, capture_health, true_delay) =
+            self.capture(dut, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
 
         // 3. skew: reuse the calibrated value when one is supplied
         //    (skew is a hardware property — the wideband calibration
@@ -572,31 +525,7 @@ impl BistEngine {
         let (skew, skew_ok) = match cfg.calibrated_skew {
             Some(delay) => (SkewEstimate::from_delay(delay), true),
             None => {
-                let mut slow_adc = BpTiadc::new(cfg.frontend_slow);
-                let slow_raw = slow_adc.capture(dut, cfg.slow_start, cfg.slow_len);
-                CaptureHealth::scan(&slow_raw, &cfg.frontend_slow, &cfg.health)?;
-                let (slow_cap, _) = auto_calibrate(&slow_raw);
-                // typed pre-check of the cost's coverage contract, so
-                // an undersized capture cannot panic inside the cost
-                // constructor
-                DualRateCost::try_probe_window(&fast_cap, &slow_cap, &cfg.dual)
-                    .map_err(|reason| BistError::CaptureTooShort { reason })?;
-                let cost = match cfg.probe_schedule {
-                    ProbeSchedule::Random => DualRateCost::paper_probes(
-                        fast_cap.clone(),
-                        slow_cap,
-                        cfg.dual,
-                        cfg.probe_count,
-                        cfg.probe_seed,
-                    ),
-                    ProbeSchedule::UniformGrid => DualRateCost::grid_probes(
-                        fast_cap.clone(),
-                        slow_cap,
-                        cfg.dual,
-                        cfg.probe_count,
-                    ),
-                };
-                let lms = estimate_skew_lms(&cost, LmsConfig::paper_default(cfg.lms_initial));
+                let lms = self.estimate_skew(dut, fast_cap.clone())?;
                 let ok = (!cfg.skew_gate.require_convergence || lms.converged)
                     && cfg
                         .skew_gate
@@ -632,9 +561,9 @@ impl BistEngine {
         let n_grid = cfg.grid_len.min(usable);
 
         // 4 + 5. reconstruction and mask verdict. Both strategies share
-        // the [`welch_segmentation`] parameters and the Blackman–Harris
-        // window; they differ in which bins they materialize and in how
-        // the grid flows into the scan.
+        // the [`welch_segmentation`] parameters, the Blackman–Harris
+        // window and the Δε accumulator; they differ in which bins they
+        // materialize and in how the grid flows into the scan.
         let (seg, overlap) = welch_segmentation(n_grid);
         let carrier = cfg.dual.fast_band().center();
         let noise_band = cfg.noise_figure.map(|nf| (nf.offset_lo, nf.offset_hi));
@@ -649,28 +578,8 @@ impl BistEngine {
             ScanStrategy::FftWelch => {
                 rec.reconstruct_grid(&fast_cap, lo, dt, n_grid, &mut scratch.grid);
                 let wave = scratch.grid.values();
-                let reconstruction_error = reference.map(|r| {
-                    // Accumulates the exact terms `nrmse(wave, &r.sample(&grid))`
-                    // would form — each accumulator adds in grid order, and
-                    // `sample` is `eval` mapped over the instants — without
-                    // materializing the golden-reference grid inside the
-                    // scratch-reuse hot path.
-                    let (mut num, mut den) = (0.0f64, 0.0f64);
-                    for (i, &g) in wave.iter().enumerate() {
-                        let rv = r.eval(lo + i as f64 * dt);
-                        num += (g - rv) * (g - rv);
-                        den += rv * rv;
-                    }
-                    if den == 0.0 {
-                        if num == 0.0 {
-                            0.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        (num / den).sqrt()
-                    }
-                });
+                let mut delta_eps = DeltaEps::new(reference, lo, dt);
+                delta_eps.add(0, wave);
                 let psd = welch(wave, cfg.grid_rate, seg, overlap, Window::BlackmanHarris);
                 let noise_density = noise_band.and_then(|(lo, hi)| {
                     psd.mean_density_in_offset_band(carrier, lo, hi)
@@ -678,7 +587,7 @@ impl BistEngine {
                 });
                 (
                     mask.try_check(&psd, carrier)?,
-                    reconstruction_error,
+                    delta_eps.value(),
                     false,
                     noise_density,
                 )
@@ -709,24 +618,15 @@ impl BistEngine {
                 // Supervised feed: a panicking producer worker aborts
                 // the attempt, which is retried once in parallel and
                 // then degraded to the bit-identical sequential feed.
-                // The scan state and Δε accumulators are rebuilt per
+                // The scan state and Δε accumulator are rebuilt per
                 // attempt, so a recovered run reproduces the
                 // clean-path verdict exactly.
                 let mut attempt = 0usize;
                 loop {
                     let mut scan = engine.stream(stream, cfg.early_verdict);
-                    // Δε accumulators, summed in grid order so a full
-                    // capture reproduces `nrmse` over the batch wave
-                    // bit-for-bit.
-                    let (mut err_num, mut err_den) = (0.0f64, 0.0f64);
+                    let mut delta_eps = DeltaEps::new(reference, lo, dt);
                     let mut consume = |start: usize, block: &[f64]| {
-                        if let Some(r) = reference {
-                            for (i, &g) in block.iter().enumerate() {
-                                let rv = r.eval(lo + (start + i) as f64 * dt);
-                                err_num += (g - rv) * (g - rv);
-                                err_den += rv * rv;
-                            }
-                        }
+                        delta_eps.add(start, block);
                         scan.push(block) == ScanFeed::Continue
                     };
                     if workers > 1 && attempt < 2 {
@@ -768,18 +668,7 @@ impl BistEngine {
                     let early_exit = scan.early_stopped();
                     let noise_density = scan.noise_density_dbhz();
                     let mask_report = scan.try_finish()?;
-                    let reconstruction_error = reference.map(|_| {
-                        if err_den == 0.0 {
-                            if err_num == 0.0 {
-                                0.0
-                            } else {
-                                f64::INFINITY
-                            }
-                        } else {
-                            (err_num / err_den).sqrt()
-                        }
-                    });
-                    break (mask_report, reconstruction_error, early_exit, noise_density);
+                    break (mask_report, delta_eps.value(), early_exit, noise_density);
                 }
             }
         };
@@ -794,7 +683,7 @@ impl BistEngine {
 
         Ok(BistReport {
             skew,
-            true_delay: fast_adc.true_delay(),
+            true_delay,
             mask: mask_report,
             reconstruction_error,
             early_exit,
@@ -809,7 +698,9 @@ impl BistEngine {
     /// Runs only the front half of the BIST — capture at both rates,
     /// background calibration, dual-rate cost, LMS — against a
     /// calibration `stimulus`, returning the skew estimate with its
-    /// residual/iteration metadata.
+    /// residual/iteration metadata. Both raw captures are
+    /// health-scanned before calibration, and every failure is a typed
+    /// [`BistError`].
     ///
     /// Skew is a property of the sampler hardware (DCDE setting, clock
     /// routing), not of the stimulus, but its *identifiability* is: a
@@ -819,44 +710,122 @@ impl BistEngine {
     /// through the same front-end pins it to sub-ps. Calibrate once on
     /// a wideband burst at the deployment carrier, then run
     /// per-standard verdicts with
-    /// [`BistConfig::with_calibrated_skew`].
-    pub fn calibrate_skew<S: ContinuousSignal>(&self, stimulus: &S) -> SkewEstimate {
-        self.try_calibrate_skew(stimulus)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`calibrate_skew`](Self::calibrate_skew) returning a typed
-    /// [`BistError`] instead of panicking: both raw captures are
-    /// health-scanned before calibration, and the probe window is
-    /// verified before the cost is built.
+    /// [`BistConfig::try_with_calibrated_skew`].
     pub fn try_calibrate_skew<S: ContinuousSignal>(
         &self,
         stimulus: &S,
     ) -> Result<SkewEstimate, BistError> {
         let cfg = &self.config;
-        let mut fast_adc = BpTiadc::new(cfg.frontend_fast);
-        let mut slow_adc = BpTiadc::new(cfg.frontend_slow);
-        let fast_raw = fast_adc.capture(stimulus, cfg.fast_start, cfg.fast_len);
-        let slow_raw = slow_adc.capture(stimulus, cfg.slow_start, cfg.slow_len);
-        CaptureHealth::scan(&fast_raw, &cfg.frontend_fast, &cfg.health)?;
-        CaptureHealth::scan(&slow_raw, &cfg.frontend_slow, &cfg.health)?;
-        let (fast_cap, _) = auto_calibrate(&fast_raw);
-        let (slow_cap, _) = auto_calibrate(&slow_raw);
-        DualRateCost::try_probe_window(&fast_cap, &slow_cap, &cfg.dual)
-            .map_err(|reason| BistError::CaptureTooShort { reason })?;
+        let (fast_cap, _, _) =
+            self.capture(stimulus, &cfg.frontend_fast, cfg.fast_start, cfg.fast_len)?;
+        Ok(self.estimate_skew(stimulus, fast_cap)?.to_estimate())
+    }
+
+    /// Capture stage of one channel: the raw capture, its health
+    /// pre-scan (before calibration — NaN would poison the calibration
+    /// means) and the offset/gain background calibration. Returns the
+    /// calibrated capture, its health report and the DCDE's true
+    /// delay.
+    fn capture<S: ContinuousSignal>(
+        &self,
+        dut: &S,
+        frontend: &BpTiadcConfig,
+        start: i64,
+        len: usize,
+    ) -> Result<(NonuniformCapture, CaptureHealth, f64), BistError> {
+        let mut adc = BpTiadc::new(*frontend);
+        let raw = adc.capture(dut, start, len);
+        let health = CaptureHealth::scan(&raw, frontend, &self.config.health)?;
+        let (cap, _) = auto_calibrate(&raw);
+        Ok((cap, health, adc.true_delay()))
+    }
+
+    /// Skew stage (Algorithm 1) on a calibrated fast capture: the
+    /// slow-rate capture stage, the dual-rate cost under the configured
+    /// [`ProbeSchedule`] and the LMS descent — the one sequence both
+    /// [`try_run_with`](Self::try_run_with) and
+    /// [`try_calibrate_skew`](Self::try_calibrate_skew) run.
+    fn estimate_skew<S: ContinuousSignal>(
+        &self,
+        dut: &S,
+        fast_cap: NonuniformCapture,
+    ) -> Result<LmsResult, BistError> {
+        let cfg = &self.config;
+        if cfg.lms_initial.is_nan() || cfg.lms_initial <= 0.0 {
+            return Err(BistError::InvalidConfig {
+                reason: "LMS initial estimate must be positive".into(),
+            });
+        }
+        let (slow_cap, _, _) =
+            self.capture(dut, &cfg.frontend_slow, cfg.slow_start, cfg.slow_len)?;
         let cost = match cfg.probe_schedule {
-            ProbeSchedule::Random => DualRateCost::paper_probes(
+            ProbeSchedule::Random => DualRateCost::try_paper_probes(
                 fast_cap,
                 slow_cap,
                 cfg.dual,
                 cfg.probe_count,
                 cfg.probe_seed,
-            ),
+            )?,
             ProbeSchedule::UniformGrid => {
-                DualRateCost::grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)
+                DualRateCost::try_grid_probes(fast_cap, slow_cap, cfg.dual, cfg.probe_count)?
             }
         };
-        Ok(estimate_skew_lms(&cost, LmsConfig::paper_default(cfg.lms_initial)).to_estimate())
+        Ok(estimate_skew_lms(
+            &cost,
+            LmsConfig::paper_default(cfg.lms_initial),
+        ))
+    }
+}
+
+/// The Δε accumulator (relative RMS error against the golden
+/// reference): adds the exact terms `nrmse(wave, &r.sample(&grid))`
+/// would form, in grid order, so a full capture reproduces `nrmse`
+/// bit-for-bit — without materializing the reference grid, and
+/// whether the wave arrives whole or block by block.
+struct DeltaEps<'r, R> {
+    reference: Option<&'r R>,
+    lo: f64,
+    dt: f64,
+    num: f64,
+    den: f64,
+}
+
+impl<'r, R: ContinuousSignal> DeltaEps<'r, R> {
+    fn new(reference: Option<&'r R>, lo: f64, dt: f64) -> Self {
+        DeltaEps {
+            reference,
+            lo,
+            dt,
+            num: 0.0,
+            den: 0.0,
+        }
+    }
+
+    /// Adds the grid samples `block`, which start at grid index
+    /// `start`.
+    fn add(&mut self, start: usize, block: &[f64]) {
+        if let Some(r) = self.reference {
+            for (i, &g) in block.iter().enumerate() {
+                let rv = r.eval(self.lo + (start + i) as f64 * self.dt);
+                self.num += (g - rv) * (g - rv);
+                self.den += rv * rv;
+            }
+        }
+    }
+
+    /// Δε over the samples added so far; `None` without a reference.
+    fn value(&self) -> Option<f64> {
+        self.reference.map(|_| {
+            if self.den == 0.0 {
+                if self.num == 0.0 {
+                    0.0
+                } else {
+                    f64::INFINITY
+                }
+            } else {
+                (self.num / self.den).sqrt()
+            }
+        })
     }
 }
 
@@ -881,7 +850,9 @@ mod tests {
         let tx = paper_tx(TxImpairments::typical());
         let engine = BistEngine::new(BistConfig::paper_default());
         let ideal = tx.ideal_rf_output();
-        let report = engine.run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal));
+        let report = engine
+            .try_run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal))
+            .unwrap();
         assert!(
             report.mask.passed,
             "worst margin {}",
@@ -908,11 +879,13 @@ mod tests {
             Fault::new(FaultKind::PaEarlyCompression { v_sat_factor: 0.05 }).inject(healthy);
         let tx = paper_tx(faulty);
         let engine = BistEngine::new(BistConfig::paper_default());
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(
             !report.mask.passed,
             "expected regrowth violation, margin {}",
@@ -928,11 +901,12 @@ mod tests {
                 .inject(TxImpairments::typical());
             let tx = paper_tx(imp);
             engine
-                .run(
+                .try_run(
                     &tx.rf_output(),
                     &SpectralMask::qpsk_10msym(),
                     None::<&BandpassSignal<ShapedBaseband>>,
                 )
+                .unwrap()
                 .mask
                 .worst_margin_db
         };
@@ -945,11 +919,13 @@ mod tests {
     fn ideal_frontend_recovers_skew_sub_picosecond() {
         let tx = paper_tx(TxImpairments::typical());
         let engine = BistEngine::new(BistConfig::paper_default().with_ideal_frontend());
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(
             (report.skew.delay - report.true_delay).abs() < 0.3e-12,
             "skew {} vs true {}",
@@ -976,16 +952,20 @@ mod tests {
                 .inject(TxImpairments::typical()),
         );
         for tx in [&healthy, &faulty] {
-            let a = engine_scan.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                None::<&BandpassSignal<ShapedBaseband>>,
-            );
-            let b = engine_fft.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                None::<&BandpassSignal<ShapedBaseband>>,
-            );
+            let a = engine_scan
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    None::<&BandpassSignal<ShapedBaseband>>,
+                )
+                .unwrap();
+            let b = engine_fft
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    None::<&BandpassSignal<ShapedBaseband>>,
+                )
+                .unwrap();
             assert_eq!(a.mask.passed, b.mask.passed);
             assert!(
                 (a.mask.worst_margin_db - b.mask.worst_margin_db).abs() < 0.5,
@@ -1013,7 +993,9 @@ mod tests {
             "builder must select the schedule"
         );
         let ideal = tx.ideal_rf_output();
-        let report = engine.run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal));
+        let report = engine
+            .try_run(&tx.rf_output(), &SpectralMask::qpsk_10msym(), Some(&ideal))
+            .unwrap();
         assert!(
             report.mask.passed,
             "worst margin {}",
@@ -1029,7 +1011,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capture too short")]
     fn too_coarse_grid_fails_early_with_clear_error() {
         // a grid sample longer than the whole reconstruction coverage
         // used to surface as a panic deep inside the Welch estimator;
@@ -1038,11 +1019,58 @@ mod tests {
         let mut cfg = BistConfig::paper_default();
         cfg.grid_rate = 1e5; // 10 µs per grid sample vs ~3.5 µs coverage
         let engine = BistEngine::new(cfg);
-        let _ = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
+        let err = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, BistError::CaptureTooShort { reason } if reason.contains("capture too short")),
+            "{err}"
         );
+    }
+
+    /// Runs both skew-estimating entry points (a verdict and a
+    /// calibration) under both probe schedules with `cfg` and asserts
+    /// each returns `InvalidConfig` whose reason contains `needle`.
+    fn assert_skew_stage_rejects(cfg: BistConfig, needle: &str) {
+        let tx = paper_tx(TxImpairments::typical());
+        for schedule in [ProbeSchedule::Random, ProbeSchedule::UniformGrid] {
+            let engine = BistEngine::new(cfg.clone().with_probe_schedule(schedule));
+            let verdict = engine
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    None::<&BandpassSignal<ShapedBaseband>>,
+                )
+                .map(|_| ());
+            let calibration = engine.try_calibrate_skew(&tx.rf_output()).map(|_| ());
+            for (entry, result) in [("try_run", verdict), ("try_calibrate_skew", calibration)] {
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(&err, BistError::InvalidConfig { reason } if reason.contains(needle)),
+                    "{entry} under {schedule:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_probe_count_is_a_typed_error() {
+        let mut cfg = BistConfig::paper_default();
+        cfg.probe_count = 0;
+        assert_skew_stage_rejects(cfg, "at least one probe time");
+    }
+
+    #[test]
+    fn non_positive_lms_start_is_a_typed_error() {
+        for start in [0.0, -50e-12, f64::NAN] {
+            let mut cfg = BistConfig::paper_default();
+            cfg.lms_initial = start;
+            assert_skew_stage_rejects(cfg, "LMS initial estimate must be positive");
+        }
     }
 
     #[test]
@@ -1058,17 +1086,21 @@ mod tests {
         );
         let mut scratch = BistScratch::new();
         for tx in [&healthy, &faulty, &healthy] {
-            let reused = engine.run_with(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                Some(&tx.ideal_rf_output()),
-                &mut scratch,
-            );
-            let fresh = engine.run(
-                &tx.rf_output(),
-                &SpectralMask::qpsk_10msym(),
-                Some(&tx.ideal_rf_output()),
-            );
+            let reused = engine
+                .try_run_with(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    Some(&tx.ideal_rf_output()),
+                    &mut scratch,
+                )
+                .unwrap();
+            let fresh = engine
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    Some(&tx.ideal_rf_output()),
+                )
+                .unwrap();
             assert_eq!(reused.mask, fresh.mask);
             assert_eq!(reused.reconstruction_error, fresh.reconstruction_error);
             assert_eq!(reused.skew.delay, fresh.skew.delay);
@@ -1082,16 +1114,20 @@ mod tests {
             BistConfig::paper_default().with_early_verdict(EarlyVerdict::paper_default()),
         );
         let unarmed = BistEngine::new(BistConfig::paper_default());
-        let a = armed.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
-        let b = unarmed.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let a = armed
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
+        let b = unarmed
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(!a.early_exit, "policy must not fire on a passing unit");
         assert_eq!(a.mask, b.mask, "armed run must match the full verdict");
     }
@@ -1104,11 +1140,13 @@ mod tests {
         let engine = BistEngine::new(
             BistConfig::paper_default().with_early_verdict(EarlyVerdict::paper_default()),
         );
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.early_exit, "gross regrowth must decide early");
         assert!(!report.mask.passed);
         assert!(report.mask.worst_margin_db < -EarlyVerdict::paper_default().guard_db);
@@ -1120,18 +1158,22 @@ mod tests {
         // bit-identical to the in-thread feed
         let tx = paper_tx(TxImpairments::typical());
         let base = BistEngine::new(BistConfig::paper_default().with_stream_workers(1));
-        let want = base.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&tx.ideal_rf_output()),
-        );
-        for workers in [0usize, 3] {
-            let engine = BistEngine::new(BistConfig::paper_default().with_stream_workers(workers));
-            let got = engine.run(
+        let want = base
+            .try_run(
                 &tx.rf_output(),
                 &SpectralMask::qpsk_10msym(),
                 Some(&tx.ideal_rf_output()),
-            );
+            )
+            .unwrap();
+        for workers in [0usize, 3] {
+            let engine = BistEngine::new(BistConfig::paper_default().with_stream_workers(workers));
+            let got = engine
+                .try_run(
+                    &tx.rf_output(),
+                    &SpectralMask::qpsk_10msym(),
+                    Some(&tx.ideal_rf_output()),
+                )
+                .unwrap();
             assert_eq!(got.mask, want.mask, "workers = {workers}");
             assert_eq!(
                 got.reconstruction_error, want.reconstruction_error,
@@ -1155,16 +1197,20 @@ mod tests {
         let ideal_ref = tx.ideal_rf_output();
         let noisy = BistEngine::new(BistConfig::paper_default());
         let clean = BistEngine::new(BistConfig::paper_default().with_ideal_frontend());
-        let r_noisy = noisy.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&ideal_ref),
-        );
-        let r_clean = clean.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&ideal_ref),
-        );
+        let r_noisy = noisy
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&ideal_ref),
+            )
+            .unwrap();
+        let r_clean = clean
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&ideal_ref),
+            )
+            .unwrap();
         assert!(r_clean.reconstruction_error.unwrap() < r_noisy.reconstruction_error.unwrap());
     }
 
@@ -1198,17 +1244,19 @@ mod tests {
         // DCDE jitter smears the carrier into a real ≈ −117 dB/Hz
         // floor that sits right on top of the injected one.
         let (dut, density_dbhz) = noisy_paper_tx(0.01);
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz);
+        let nf_cfg = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz).unwrap();
         let engine = BistEngine::new(
             BistConfig::paper_default()
                 .with_ideal_frontend()
                 .with_noise_figure(nf_cfg),
         );
-        let report = engine.run(
-            &dut,
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &dut,
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         let nf = report.noise_figure_db.expect("NF was configured");
         assert!(nf.abs() < 1.5, "noise figure off by {nf} dB");
         assert!(report.nf_ok, "no limit configured, gate must stay open");
@@ -1220,13 +1268,17 @@ mod tests {
         let (dut, density_dbhz) = noisy_paper_tx(0.01);
         // reference 10 dB below the injected density → NF ≈ 10 dB,
         // over a 5 dB limit
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz - 10.0).with_max_nf(5.0);
+        let nf_cfg = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz - 10.0)
+            .unwrap()
+            .with_max_nf(5.0);
         let engine = BistEngine::new(BistConfig::paper_default().with_noise_figure(nf_cfg));
-        let report = engine.run(
-            &dut,
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &dut,
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.mask.passed, "mask itself is still clean");
         assert!(
             !report.nf_ok,
@@ -1239,7 +1291,7 @@ mod tests {
     #[test]
     fn scan_strategies_agree_on_noise_figure() {
         let (dut, density_dbhz) = noisy_paper_tx(0.01);
-        let nf_cfg = NoiseFigureConfig::new(25e6, 40e6, density_dbhz);
+        let nf_cfg = NoiseFigureConfig::try_new(25e6, 40e6, density_dbhz).unwrap();
         let banked = BistEngine::new(BistConfig::paper_default().with_noise_figure(nf_cfg));
         let welch = BistEngine::new(
             BistConfig::paper_default()
@@ -1247,8 +1299,12 @@ mod tests {
                 .with_scan_strategy(ScanStrategy::FftWelch),
         );
         let mask = SpectralMask::qpsk_10msym();
-        let a = banked.run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>);
-        let b = welch.run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>);
+        let a = banked
+            .try_run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>)
+            .unwrap();
+        let b = welch
+            .try_run(&dut, &mask, None::<&BandpassSignal<ShapedBaseband>>)
+            .unwrap();
         let (nf_a, nf_b) = (a.noise_figure_db.unwrap(), b.noise_figure_db.unwrap());
         assert!(
             (nf_a - nf_b).abs() < 0.5,
@@ -1266,11 +1322,13 @@ mod tests {
             max_residual_cost: Some(1e-30),
         };
         let engine = BistEngine::new(BistConfig::paper_default().with_skew_gate(gate));
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            None::<&BandpassSignal<ShapedBaseband>>,
-        );
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                None::<&BandpassSignal<ShapedBaseband>>,
+            )
+            .unwrap();
         assert!(report.mask.passed);
         assert!(!report.skew_ok);
         assert!(!report.passed());
@@ -1280,13 +1338,17 @@ mod tests {
     fn calibrated_skew_is_reused_and_stays_accurate() {
         let tx = paper_tx(TxImpairments::typical());
         let base = BistConfig::paper_default();
-        let est = BistEngine::new(base.clone()).calibrate_skew(&tx.rf_output());
-        let engine = BistEngine::new(base.with_calibrated_skew(est.delay));
-        let report = engine.run(
-            &tx.rf_output(),
-            &SpectralMask::qpsk_10msym(),
-            Some(&tx.ideal_rf_output()),
-        );
+        let est = BistEngine::new(base.clone())
+            .try_calibrate_skew(&tx.rf_output())
+            .unwrap();
+        let engine = BistEngine::new(base.try_with_calibrated_skew(est.delay).unwrap());
+        let report = engine
+            .try_run(
+                &tx.rf_output(),
+                &SpectralMask::qpsk_10msym(),
+                Some(&tx.ideal_rf_output()),
+            )
+            .unwrap();
         assert!(report.passed(), "calibrated healthy run must pass");
         assert!(report.skew_ok, "calibrated skew carries the gate");
         assert!(

@@ -8,11 +8,11 @@
 //! profiles, which injected faults does the pipeline flag and how
 //! often does it condemn a healthy unit? This module sweeps
 //! [`standard_fault_set`] (plus the healthy baseline) through
-//! [`BistEngine::run_with`] on every [`MaskLibrary`] standard and
+//! [`BistEngine::try_run_with`] on every [`MaskLibrary`] standard and
 //! accumulates exactly that matrix.
 //!
 //! Each deployment calibrates the sampler skew once on a wideband
-//! burst ([`BistEngine::calibrate_skew`]) and reuses the estimate for
+//! burst ([`BistEngine::try_calibrate_skew`]) and reuses the estimate for
 //! every per-standard verdict — the fix for the narrowband trap where
 //! a GSM-like stimulus leaves the LMS ~170 ps off while the mask
 //! still passes. Disable [`CampaignConfig::wideband_calibration`] to
@@ -117,19 +117,9 @@ impl Deployment {
 
     /// The per-standard engine configuration: same hardware, new
     /// software plan (DCDE target, capture lengths, analysis grid,
-    /// LMS seed point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the carrier violates the eq. 9 identifiability
-    /// conditions for the fixed rate pair.
-    pub fn bist_config(&self) -> BistConfig {
-        self.try_bist_config().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`bist_config`](Self::bist_config) returning a typed
-    /// [`BistError::InvalidConfig`] when the carrier violates the
-    /// eq. 9 identifiability conditions for the fixed rate pair.
+    /// LMS seed point). A carrier that violates the eq. 9
+    /// identifiability conditions for the fixed rate pair is a typed
+    /// [`BistError::InvalidConfig`].
     pub fn try_bist_config(&self) -> Result<BistConfig, BistError> {
         let d_target = self.delay_target();
         let dual = DualRateConfig::new(self.carrier_hz, CAMPAIGN_B, CAMPAIGN_B1, d_target)
@@ -527,6 +517,7 @@ fn run_cell(
     cfg: &CampaignConfig,
     dep: &Deployment,
     standard: &MaskStandard,
+    mut base: BistConfig,
     jitter: f64,
 ) -> CellRecord {
     let mut record = CellRecord {
@@ -549,7 +540,6 @@ fn run_cell(
     };
     let mut scratch = BistScratch::new();
 
-    let mut base = dep.bist_config();
     base.frontend_fast.jitter = JitterModel::Gaussian { rms: jitter };
     base.frontend_slow.jitter = JitterModel::Gaussian { rms: jitter };
     let span = dep.capture_span(base.fast_start);
@@ -563,8 +553,10 @@ fn run_cell(
             .impairments(TxImpairments::typical())
             .build();
         let cal = BistEngine::new(base.clone());
-        match with_retry(|| cal.try_calibrate_skew(&burst.rf_output())) {
-            Ok(est) => BistEngine::new(base.clone().with_calibrated_skew(est.delay)),
+        match with_retry(|| cal.try_calibrate_skew(&burst.rf_output()))
+            .and_then(|est| base.clone().try_with_calibrated_skew(est.delay))
+        {
+            Ok(calibrated) => BistEngine::new(calibrated),
             Err(_) => {
                 // no skew estimate, no verdicts: the whole cell errors
                 record.errored_runs = cfg.trials * (cfg.faults.len() + 1);
@@ -983,7 +975,7 @@ pub fn try_run_campaign_supervised(
                 });
             }
         };
-        let record = run_cell(cfg, dep, standard, jitter);
+        let record = run_cell(cfg, dep, standard, dep.try_bist_config()?, jitter);
         records.push(record);
         if let Some(path) = checkpoint {
             write_checkpoint(path, &fingerprint, &records)?;
@@ -1003,20 +995,6 @@ pub fn try_run_campaign_supervised(
     }
 
     Ok(fold_records(cfg, &records))
-}
-
-/// Runs the campaign and returns the coverage matrix.
-///
-/// Thin panicking wrapper over [`try_run_campaign`], kept for
-/// call-site compatibility.
-///
-/// # Panics
-///
-/// Panics if the configuration is empty (no deployments, faults,
-/// trials or jitter profiles), if a deployment names an unknown
-/// standard, or if `eps_ratio` is not a finite value above 1.
-pub fn run_campaign(cfg: &CampaignConfig) -> CoverageMatrix {
-    try_run_campaign(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A dependency-free recursive-descent JSON reader, just big enough
@@ -1268,7 +1246,7 @@ mod tests {
 
     #[test]
     fn single_cell_campaign_detects_and_stays_quiet() {
-        let matrix = run_campaign(&one_cell_config());
+        let matrix = try_run_campaign(&one_cell_config()).unwrap();
         assert_eq!(matrix.standards.len(), 1);
         let s = &matrix.standards[0];
         assert_eq!(s.standard, "qpsk-10msym-srrc0.5");
@@ -1338,7 +1316,7 @@ mod tests {
                 dep.standard
             );
             // the configured engine must construct (identifiability)
-            let cfg = dep.bist_config();
+            let cfg = dep.try_bist_config().unwrap();
             assert_eq!(cfg.grid_len, dep.grid_len);
             assert!(dep.delay_target() > 0.0);
         }
@@ -1374,11 +1352,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown standard")]
     fn unknown_standard_fails_fast() {
         let mut cfg = one_cell_config();
         cfg.deployments[0].standard = "no-such-standard".into();
-        let _ = run_campaign(&cfg);
+        let err = try_run_campaign(&cfg).unwrap_err();
+        assert!(
+            matches!(err, BistError::UnknownStandard { .. })
+                && err.to_string().contains("unknown standard"),
+            "{err}"
+        );
     }
 
     #[test]

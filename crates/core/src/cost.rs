@@ -44,28 +44,11 @@ pub struct DualRateCost {
 }
 
 impl DualRateCost {
-    /// Builds the cost from explicit probe times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times` is empty, if either capture's rate disagrees
-    /// with `config`, or if any probe time falls outside both captures'
-    /// reconstruction coverage (checked against the paper's 61-tap
-    /// filter span).
-    pub fn new(
-        fast: NonuniformCapture,
-        slow: NonuniformCapture,
-        config: DualRateConfig,
-        times: Vec<f64>,
-        num_taps: usize,
-        window: Window,
-    ) -> Self {
-        Self::try_new(fast, slow, config, times, num_taps, window).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) in typed form: every contract violation
-    /// surfaces as [`BistError::InvalidConfig`] (with the same message
-    /// the panicking constructor raises) instead of a panic.
+    /// Builds the cost from explicit probe times. Every contract
+    /// violation is a [`BistError::InvalidConfig`]: an empty `times`,
+    /// a capture rate that disagrees with `config`, or a probe time
+    /// outside either capture's reconstruction coverage (checked with
+    /// a representative valid delay).
     pub fn try_new(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -116,11 +99,10 @@ impl DualRateCost {
         Ok(cost)
     }
 
-    /// The coverage check behind every probe schedule, in typed form:
-    /// `Err` carries the same message the panicking constructors raise
-    /// ("… capture too short" / "captures do not overlap in time"), so
-    /// the engine's `try_*` paths can reject an undersized capture as
-    /// a value before the cost is built.
+    /// The coverage check behind every generated probe schedule: the
+    /// intersection of both captures' reconstruction coverage, or the
+    /// reason there is none ("… capture too short" / "captures do not
+    /// overlap in time").
     pub fn try_probe_window(
         fast: &NonuniformCapture,
         slow: &NonuniformCapture,
@@ -152,20 +134,8 @@ impl DualRateCost {
     /// The paper's probe setup: `n` random times drawn uniformly from
     /// the intersection of both captures' coverage (the paper uses
     /// N = 300 over a 1230 ns window), 61-tap Kaiser reconstruction.
-    pub fn paper_probes(
-        fast: NonuniformCapture,
-        slow: NonuniformCapture,
-        config: DualRateConfig,
-        n: usize,
-        seed: u64,
-    ) -> Self {
-        Self::try_paper_probes(fast, slow, config, n, seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`paper_probes`](Self::paper_probes) in typed form: an empty
-    /// schedule or an undersized capture surfaces as a
-    /// [`BistError`] (with the panicking constructor's message)
-    /// instead of a panic.
+    /// An empty schedule is a [`BistError::InvalidConfig`], an
+    /// undersized capture a [`BistError::CaptureTooShort`].
     pub fn try_paper_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -199,25 +169,13 @@ impl DualRateCost {
     /// Kaiser reconstruction.
     ///
     /// Functionally interchangeable with
-    /// [`paper_probes`](Self::paper_probes) — the cost keeps its unique
-    /// minimum at the true delay — but the uniform spacing lets every
-    /// evaluation reconstruct both captures through the grid-aware plan
-    /// ([`PnbsGridPlan`]): per-tap rotors are reused *across* probe
-    /// points instead of being re-seeded per point, which is where LMS
-    /// descents and Fig. 5 sweeps spend their time.
-    pub fn grid_probes(
-        fast: NonuniformCapture,
-        slow: NonuniformCapture,
-        config: DualRateConfig,
-        n: usize,
-    ) -> Self {
-        Self::try_grid_probes(fast, slow, config, n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`grid_probes`](Self::grid_probes) in typed form: an empty
-    /// schedule or an undersized capture surfaces as a
-    /// [`BistError`] (with the panicking constructor's message)
-    /// instead of a panic.
+    /// [`try_paper_probes`](Self::try_paper_probes) — the cost keeps
+    /// its unique minimum at the true delay, and the errors are the
+    /// same — but the uniform spacing lets every evaluation reconstruct
+    /// both captures through the grid-aware plan ([`PnbsGridPlan`]):
+    /// per-tap rotors are reused *across* probe points instead of being
+    /// re-seeded per point, which is where LMS descents and Fig. 5
+    /// sweeps spend their time.
     pub fn try_grid_probes(
         fast: NonuniformCapture,
         slow: NonuniformCapture,
@@ -246,7 +204,7 @@ impl DualRateCost {
     }
 
     /// `Some((t0, step))` when the probe times form a uniform grid (the
-    /// [`grid_probes`](Self::grid_probes) schedule), enabling the
+    /// [`try_grid_probes`](Self::try_grid_probes) schedule), enabling the
     /// grid-aware reconstruction path inside every evaluation.
     pub fn probe_grid(&self) -> Option<(f64, f64)> {
         self.grid
@@ -294,7 +252,6 @@ impl DualRateCost {
     /// Candidates are clamped into the open search interval `]0, m[`
     /// with a 0.1 ps margin, so optimizer overshoot cannot hit the
     /// kernel singularities at the interval ends.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn evaluate(&self, d_hat: f64) -> f64 {
         self.evaluator().eval(d_hat)
     }
@@ -326,7 +283,6 @@ impl DualRateCost {
     /// A reusable evaluator holding the scratch buffers one cost
     /// evaluation needs, so grid sweeps and LMS runs allocate once
     /// instead of per candidate.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn evaluator(&self) -> CostEvaluator<'_> {
         CostEvaluator {
             cost: self,
@@ -340,22 +296,13 @@ impl DualRateCost {
     /// Evaluates `ε(D̂)` for every candidate in `candidates`, reusing
     /// one pair of scratch buffers (and one plan per candidate) across
     /// the whole grid — the batched form of the Fig. 5 sweep.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn eval_grid(&self, candidates: &[f64]) -> Vec<f64> {
         self.evaluator().eval_grid(candidates)
     }
 
     /// The uniform grid of `n` candidates across `]0, m[` the paper's
     /// Fig. 5 sweeps (midpoint placement, so the singular endpoints are
-    /// never touched).
-    pub fn sweep_candidates(&self, n: usize) -> Vec<f64> {
-        self.try_sweep_candidates(n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`sweep_candidates`](Self::sweep_candidates) in typed form:
-    /// returns [`BistError::InvalidConfig`] on a degenerate grid
-    /// instead of panicking.
+    /// never touched); [`BistError::InvalidConfig`] when `n < 2`.
     pub fn try_sweep_candidates(&self, n: usize) -> Result<Vec<f64>, BistError> {
         if n < 2 {
             return Err(BistError::InvalidConfig {
@@ -367,14 +314,8 @@ impl DualRateCost {
     }
 
     /// Evaluates the cost on a uniform grid of `n` candidates across
-    /// `]0, m[` — the paper's Fig. 5 sweep.
-    pub fn sweep(&self, n: usize) -> Vec<(f64, f64)> {
-        self.try_sweep(n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`sweep`](Self::sweep) in typed form: returns
-    /// [`BistError::InvalidConfig`] on a degenerate grid instead of
-    /// panicking.
+    /// `]0, m[` — the paper's Fig. 5 sweep;
+    /// [`BistError::InvalidConfig`] when `n < 2`.
     pub fn try_sweep(&self, n: usize) -> Result<Vec<(f64, f64)>, BistError> {
         let candidates = self.try_sweep_candidates(n)?;
         let values = self.eval_grid(&candidates);
@@ -402,10 +343,9 @@ impl CostEvaluator<'_> {
     /// [`DualRateCost::evaluate`].
     ///
     /// Uniform-grid probe schedules
-    /// ([`DualRateCost::grid_probes`]) dispatch to the grid-aware
+    /// ([`DualRateCost::try_grid_probes`]) dispatch to the grid-aware
     /// reconstruction plan; random schedules use the per-point batch
     /// path. Both agree with the direct reference to ≤ 1e-9.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn eval(&mut self, d_hat: f64) -> f64 {
         let cost = self.cost;
         let d = cost.clamp_candidate(d_hat);
@@ -432,7 +372,6 @@ impl CostEvaluator<'_> {
     /// buffers — the entry point [`DualRateCost::eval_grid`] and the
     /// LMS gradient probes share, so plan setup and scratch reuse
     /// amortize across every candidate of a descent or sweep.
-    // analysis: allow(typed-error-parity) — cannot panic: candidates are clamped into ]0, m[ and the `::new` tokens the fixpoint matches are the plan/scratch constructors, not the panicking sibling `new`
     pub fn eval_grid(&mut self, candidates: &[f64]) -> Vec<f64> {
         candidates.iter().map(|&d| self.eval(d)).collect()
     }
@@ -469,13 +408,14 @@ mod tests {
         };
         let mut fast = BpTiadc::new(fast_cfg);
         let mut slow = BpTiadc::new(slow_cfg);
-        DualRateCost::paper_probes(
+        DualRateCost::try_paper_probes(
             fast.capture(&tx, 80, 260),
             slow.capture(&tx, 40, 160),
             cfg,
             120,
             7,
         )
+        .unwrap()
     }
 
     #[test]
@@ -490,7 +430,7 @@ mod tests {
     #[test]
     fn minimum_is_at_true_delay() {
         let cost = paper_setup(true);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -507,7 +447,7 @@ mod tests {
     fn minimum_is_unique_on_the_interval() {
         // count strict local minima of the sweep — conditions (9) promise one
         let cost = paper_setup(true);
-        let sweep = cost.sweep(80);
+        let sweep = cost.try_sweep(80).unwrap();
         let mut minima = 0;
         for w in sweep.windows(3) {
             if w[1].1 < w[0].1 && w[1].1 < w[2].1 {
@@ -520,7 +460,7 @@ mod tests {
     #[test]
     fn noisy_frontend_keeps_minimum_near_truth() {
         let cost = paper_setup(false);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -536,7 +476,7 @@ mod tests {
     #[test]
     fn cost_is_finite_across_search_interval() {
         let cost = paper_setup(true);
-        for (d, v) in cost.sweep(40) {
+        for (d, v) in cost.try_sweep(40).unwrap() {
             assert!(v.is_finite(), "cost at {} ps is {v}", d * 1e12);
             assert!(v >= 0.0);
         }
@@ -592,12 +532,13 @@ mod tests {
 
     fn paper_grid_setup(ideal: bool) -> DualRateCost {
         let random = paper_setup(ideal);
-        DualRateCost::grid_probes(
+        DualRateCost::try_grid_probes(
             random.fast_capture().clone(),
             random.slow_capture().clone(),
             *random.config(),
             120,
         )
+        .unwrap()
     }
 
     #[test]
@@ -616,7 +557,7 @@ mod tests {
     #[test]
     fn grid_probed_cost_keeps_minimum_at_true_delay() {
         let cost = paper_grid_setup(true);
-        let sweep = cost.sweep(60);
+        let sweep = cost.try_sweep(60).unwrap();
         let (d_min, _) = sweep
             .iter()
             .copied()
@@ -662,8 +603,8 @@ mod tests {
     #[test]
     fn sweep_uses_midpoint_candidates() {
         let cost = paper_setup(true);
-        let sweep = cost.sweep(10);
-        let candidates = cost.sweep_candidates(10);
+        let sweep = cost.try_sweep(10).unwrap();
+        let candidates = cost.try_sweep_candidates(10).unwrap();
         let m = cost.config().m_bound();
         assert_eq!(sweep.len(), 10);
         for (i, ((d, _), dc)) in sweep.iter().zip(&candidates).enumerate() {
@@ -673,20 +614,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rate disagrees")]
-    fn mismatched_rates_panic() {
+    fn mismatched_rates_are_rejected() {
         let cfg = DualRateConfig::paper_section_v();
         let bb = ShapedBaseband::qpsk_prbs(10e6, 0.5, 12, 96, 1);
         let tx = BandpassSignal::new(bb, 1e9);
         let mut fast = BpTiadc::new(BpTiadcConfig::ideal(80e6, cfg.delay()));
         let mut slow = BpTiadc::new(BpTiadcConfig::ideal(45e6, cfg.delay()));
-        let _ = DualRateCost::new(
+        let err = DualRateCost::try_new(
             fast.capture(&tx, 80, 200),
             slow.capture(&tx, 40, 160),
             cfg,
             vec![1.5e-6],
             61,
             Window::Kaiser(8.0),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, BistError::InvalidConfig { reason } if reason.contains("rate disagrees")),
+            "{err}"
         );
     }
 }

@@ -10,8 +10,8 @@
 //! - [`mask`]: spectral masks and compliance checking (the BIST's
 //!   verdict machinery),
 //! - [`scan`]: the banked-Goertzel mask-bin scanner (evaluates only
-//!   the bins the mask constrains), batched or as a push-style
-//!   streaming consumer with early verdicts,
+//!   the bins the mask constrains), a push-style streaming consumer
+//!   with early verdicts (a whole-wave scan is one push),
 //! - [`bist`]: the end-to-end engine (capture → calibrate → estimate →
 //!   reconstruct → mask check),
 //! - [`campaign`]: the Monte-Carlo fault-coverage campaign runner
@@ -43,15 +43,16 @@
 //!
 //! let mut fast = BpTiadc::new(BpTiadcConfig::ideal(cfg.fast_rate(), cfg.delay()));
 //! let mut slow = BpTiadc::new(BpTiadcConfig::ideal(cfg.slow_rate(), cfg.delay()));
-//! let cost = DualRateCost::paper_probes(
+//! let cost = DualRateCost::try_paper_probes(
 //!     fast.capture(&tx, 80, 260),
 //!     slow.capture(&tx, 40, 160),
 //!     cfg,
 //!     300,
 //!     1,
-//! );
+//! )?;
 //! let result = estimate_skew_lms(&cost, LmsConfig::paper_default(50e-12));
 //! assert!((result.estimate - 180e-12).abs() < 1e-12);
+//! # Ok::<(), rfbist_core::error::BistError>(())
 //! ```
 
 // Production code must not take shortcuts through unwrap/expect: the
@@ -77,7 +78,7 @@ pub use bist::{
     BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ScanStrategy, SkewGate, StreamRecovery,
 };
 pub use campaign::{
-    run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
+    try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
     CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
 };
 pub use cost::{CostEvaluator, DualRateCost};
@@ -85,6 +86,6 @@ pub use error::BistError;
 pub use health::{CaptureHealth, HealthPolicy};
 pub use lms::{estimate_skew_lms, LmsConfig, LmsResult};
 pub use mask::{MaskLibrary, MaskReport, MaskStandard, SpectralMask};
-pub use scan::{EarlyVerdict, MaskScanEngine, MaskScanScratch, StreamScratch, StreamingMaskScan};
+pub use scan::{EarlyVerdict, MaskScanEngine, StreamScratch, StreamingMaskScan};
 pub use service::{DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService};
 pub use wire::{FrameDecoder, WireFrame, WireVerdictSession};

@@ -252,13 +252,14 @@ mod tests {
         };
         let mut fast = BpTiadc::new(fast_cfg);
         let mut slow = BpTiadc::new(slow_cfg);
-        DualRateCost::paper_probes(
+        DualRateCost::try_paper_probes(
             fast.capture(&tx, 80, 260),
             slow.capture(&tx, 40, 160),
             cfg,
             120,
             7,
         )
+        .unwrap()
     }
 
     #[test]
@@ -316,12 +317,13 @@ mod tests {
         // plan; Algorithm 1 must converge exactly as it does on the
         // paper's random probe times.
         let random = paper_cost(true);
-        let cost = DualRateCost::grid_probes(
+        let cost = DualRateCost::try_grid_probes(
             random.fast_capture().clone(),
             random.slow_capture().clone(),
             *random.config(),
             120,
-        );
+        )
+        .unwrap();
         for d0_ps in [50.0, 400.0] {
             let result = estimate_skew_lms(&cost, LmsConfig::paper_default(d0_ps * 1e-12));
             let err_ps = (result.estimate - 180e-12).abs() * 1e12;

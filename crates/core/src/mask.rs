@@ -66,24 +66,11 @@ pub struct SpectralMask {
 }
 
 impl SpectralMask {
-    /// Builds a mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty, any segment is inverted or
-    /// non-finite, or the reference half-width is non-positive.
-    pub fn new(
-        name: impl Into<String>,
-        reference_half_width: f64,
-        segments: Vec<MaskSegment>,
-    ) -> Self {
-        Self::try_new(name, reference_half_width, segments).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) returning a typed
-    /// [`BistError::InvalidConfig`] on a malformed mask instead of
-    /// panicking — for masks built from external (wire, config-file)
-    /// input.
+    /// Builds a mask. A malformed mask — no segments, an inverted,
+    /// negative or non-finite segment, or a non-positive reference
+    /// half-width — is a typed [`BistError::InvalidConfig`]. The
+    /// built-in presets below satisfy the same contract (pinned by
+    /// `builtin_presets_pass_construction_validation`).
     pub fn try_new(
         name: impl Into<String>,
         reference_half_width: f64,
@@ -129,12 +116,11 @@ impl SpectralMask {
     /// (≈ −49 dBc density for the paper's 10-bit / 3 ps-jitter
     /// front-end), so a healthy unit passes with margin while PA
     /// regrowth faults are still caught.
-    // analysis: allow(typed-error-parity) — static preset literals: the delegated `SpectralMask::new` validation cannot fail on these compile-time segment tables (pinned by the library tests)
     pub fn qpsk_10msym() -> Self {
-        SpectralMask::new(
-            "qpsk-10msym-srrc0.5",
-            6e6,
-            vec![
+        SpectralMask {
+            name: "qpsk-10msym-srrc0.5".into(),
+            reference_half_width: 6e6,
+            segments: vec![
                 MaskSegment {
                     offset_lo: 8.5e6,
                     offset_hi: 12.5e6,
@@ -151,7 +137,7 @@ impl SpectralMask {
                     limit_dbc: -42.0,
                 },
             ],
-        )
+        }
     }
 
     /// A WCDMA-shaped mask for a 3.84 Mcps (≈ 5 MHz channel) carrier:
@@ -164,12 +150,11 @@ impl SpectralMask {
     /// measurement floor (see [`qpsk_10msym`](Self::qpsk_10msym)), so
     /// the mask is decidable through the paper's 10-bit / 3 ps-jitter
     /// front-end.
-    // analysis: allow(typed-error-parity) — static preset literals: the delegated `SpectralMask::new` validation cannot fail on these compile-time segment tables (pinned by the library tests)
     pub fn wcdma_like() -> Self {
-        SpectralMask::new(
-            "wcdma-like-3g84",
-            2.5e6,
-            vec![
+        SpectralMask {
+            name: "wcdma-like-3g84".into(),
+            reference_half_width: 2.5e6,
+            segments: vec![
                 MaskSegment {
                     offset_lo: 3.5e6,
                     offset_hi: 7.5e6,
@@ -181,7 +166,7 @@ impl SpectralMask {
                     limit_dbc: -43.0,
                 },
             ],
-        )
+        }
     }
 
     /// An LTE-5-MHz-shaped mask (4.5 MHz occupied): three stepped
@@ -193,13 +178,12 @@ impl SpectralMask {
     /// DCDE jitter ([`jitter_floor_dbc`] ≈ −43.8 dBc there), so a
     /// healthy unit's own instrument noise can never trip the thin
     /// far-out step (the nominal −43 dBc lifts to ≈ −39.8 dBc).
-    // analysis: allow(typed-error-parity) — static preset literals: the delegated `SpectralMask::new` validation cannot fail on these compile-time segment tables (pinned by the library tests)
     pub fn lte5_like() -> Self {
         let floor = jitter_floor_dbc(2.175e9, 3e-12, 4.5e6, 90e6) + MASK_FLOOR_HEADROOM_DB;
-        SpectralMask::new(
-            "lte5-like",
-            2.5e6,
-            vec![
+        SpectralMask {
+            name: "lte5-like".into(),
+            reference_half_width: 2.5e6,
+            segments: vec![
                 MaskSegment {
                     offset_lo: 3.5e6,
                     offset_hi: 5e6,
@@ -216,7 +200,7 @@ impl SpectralMask {
                     limit_dbc: (-43.0f64).max(floor),
                 },
             ],
-        )
+        }
     }
 
     /// A GSM-shaped narrowband mask for a 270.833 ksym/s GMSK carrier:
@@ -229,12 +213,11 @@ impl SpectralMask {
     /// the paper's 4 GHz default grid provides — the multistandard
     /// sweep retunes the engine's analysis grid per standard, which is
     /// exactly the flexibility this library exists to exercise.
-    // analysis: allow(typed-error-parity) — static preset literals: the delegated `SpectralMask::new` validation cannot fail on these compile-time segment tables (pinned by the library tests)
     pub fn gsm_like() -> Self {
-        SpectralMask::new(
-            "gsm-like-270k",
-            150e3,
-            vec![
+        SpectralMask {
+            name: "gsm-like-270k".into(),
+            reference_half_width: 150e3,
+            segments: vec![
                 MaskSegment {
                     offset_lo: 350e3,
                     offset_hi: 600e3,
@@ -251,7 +234,7 @@ impl SpectralMask {
                     limit_dbc: -40.0,
                 },
             ],
-        )
+        }
     }
 
     /// A wideband 20 Msym/s mask (SRRC α = 0.35 ⇒ ±13.5 MHz
@@ -265,13 +248,12 @@ impl SpectralMask {
     /// jitter ([`jitter_floor_dbc`] ≈ −33.6 dBc there — the floor
     /// rises with the carrier's spectral position, so the nominal
     /// −34 dBc far-out step lifts to ≈ −29.6 dBc).
-    // analysis: allow(typed-error-parity) — static preset literals: the delegated `SpectralMask::new` validation cannot fail on these compile-time segment tables (pinned by the library tests)
     pub fn wideband_20msym() -> Self {
         let floor = jitter_floor_dbc(2.85e9, 3e-12, 27e6, 90e6) + MASK_FLOOR_HEADROOM_DB;
-        SpectralMask::new(
-            "wb-20msym-srrc0.35",
-            15e6,
-            vec![
+        SpectralMask {
+            name: "wb-20msym-srrc0.35".into(),
+            reference_half_width: 15e6,
+            segments: vec![
                 MaskSegment {
                     offset_lo: 16e6,
                     offset_hi: 30e6,
@@ -283,7 +265,7 @@ impl SpectralMask {
                     limit_dbc: (-34.0f64).max(floor),
                 },
             ],
-        )
+        }
     }
 
     /// Mask name.
@@ -322,22 +304,11 @@ impl SpectralMask {
     /// The 0 dBc reference is the *peak density* within
     /// `±reference_half_width` of the carrier.
     ///
-    /// # Panics
-    ///
-    /// Panics if the PSD contains no bins inside the reference region,
-    /// or none inside any mask segment — either way the estimate cannot
-    /// support a verdict (resolution too coarse, or the mask lies
-    /// outside the analysis band), and a silent `passed` would be a
-    /// false negative. The typed form is
-    /// [`try_check`](Self::try_check).
-    pub fn check(&self, psd: &PsdEstimate, carrier_hz: f64) -> MaskReport {
-        self.try_check(psd, carrier_hz)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`check`](Self::check) (same `carrier_hz` carrier in Hz)
-    /// returning [`BistError::NoMaskCoverage`] instead of panicking
-    /// when the PSD cannot support a verdict.
+    /// A PSD with no bins inside the reference region, or none inside
+    /// any mask segment, is [`BistError::NoMaskCoverage`]: either way
+    /// the estimate cannot support a verdict (resolution too coarse,
+    /// or the mask lies outside the analysis band), and a silent
+    /// `passed` would be a false negative.
     pub fn try_check(&self, psd: &PsdEstimate, carrier_hz: f64) -> Result<MaskReport, BistError> {
         let db: Vec<f64> = psd.psd_db();
         let reference_db = psd
@@ -428,7 +399,6 @@ pub struct MaskLibrary {
 
 impl MaskLibrary {
     /// An empty library.
-    // analysis: allow(typed-error-parity) — infallible delegating constructor (panic capability is a same-file name match against `SpectralMask::new`)
     pub fn new() -> Self {
         Self::default()
     }
@@ -437,7 +407,6 @@ impl MaskLibrary {
     /// WCDMA-like, LTE-5-MHz-like, GSM-like and wideband shapes (see
     /// the respective [`SpectralMask`] constructors for the cited
     /// segment tables).
-    // analysis: allow(typed-error-parity) — registers only the static built-in presets above, none of which can actually panic (their panic capability is a same-file name match)
     pub fn builtin() -> Self {
         let mut lib = MaskLibrary::new();
         lib.register(MaskStandard {
@@ -521,11 +490,10 @@ impl MaskLibrary {
 ///
 /// The single definition of the verdict semantics — worst-margin
 /// selection, violation counting and the [`MAX_REPORTED_VIOLATIONS`]
-/// truncation — shared by [`SpectralMask::check`] and the banked
+/// truncation — shared by [`SpectralMask::try_check`] and the banked
 /// [`crate::scan::MaskScanEngine`], so the two paths cannot drift.
 /// `carrier_hz` is the carrier in Hz and `reference_db` the absolute
 /// 0 dBc reference density level in dB.
-// analysis: allow(typed-error-parity) — infallible fold; the panic capability is the `Vec::new` token matching the panicking constructor's name
 pub(crate) fn report_from_margins<I>(
     mask_name: String,
     carrier_hz: f64,
@@ -637,7 +605,7 @@ mod tests {
     }
 
     fn test_mask() -> SpectralMask {
-        SpectralMask::new(
+        SpectralMask::try_new(
             "test",
             5e6,
             vec![
@@ -653,20 +621,45 @@ mod tests {
                 },
             ],
         )
+        .unwrap()
+    }
+
+    /// Asserts `result` is the `InvalidConfig` error whose reason
+    /// contains `needle`.
+    fn assert_invalid(result: Result<SpectralMask, BistError>, needle: &str) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, BistError::InvalidConfig { reason } if reason.contains(needle)),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "finite dBc")]
     fn non_finite_limits_are_rejected_at_construction() {
-        SpectralMask::new(
-            "bad",
-            5e6,
-            vec![MaskSegment {
-                offset_lo: 8e6,
-                offset_hi: 20e6,
-                limit_dbc: f64::NAN,
-            }],
+        assert_invalid(
+            SpectralMask::try_new(
+                "bad",
+                5e6,
+                vec![MaskSegment {
+                    offset_lo: 8e6,
+                    offset_hi: 20e6,
+                    limit_dbc: f64::NAN,
+                }],
+            ),
+            "finite dBc",
         );
+    }
+
+    #[test]
+    fn builtin_presets_pass_construction_validation() {
+        // the presets are struct literals; rebuilding each through the
+        // validating constructor must succeed and give the same mask
+        for std in MaskLibrary::builtin().standards() {
+            let m = &std.mask;
+            let rebuilt =
+                SpectralMask::try_new(m.name(), m.reference_half_width(), m.segments().to_vec());
+            assert_eq!(rebuilt.as_ref(), Ok(m), "{}", m.name());
+        }
     }
 
     #[test]
@@ -710,7 +703,7 @@ mod tests {
     #[test]
     fn clean_spectrum_passes() {
         let psd = psd_with_spur(15e6, -80.0);
-        let report = test_mask().check(&psd, 100e6);
+        let report = test_mask().try_check(&psd, 100e6).unwrap();
         assert!(report.passed, "worst margin {}", report.worst_margin_db);
         assert!(report.violations.is_empty());
     }
@@ -718,7 +711,7 @@ mod tests {
     #[test]
     fn loud_spur_fails_with_negative_margin() {
         let psd = psd_with_spur(15e6, -20.0); // 10 dB over the −30 limit
-        let report = test_mask().check(&psd, 100e6);
+        let report = test_mask().try_check(&psd, 100e6).unwrap();
         assert!(!report.passed);
         assert!(
             (report.worst_margin_db + 10.0).abs() < 2.0,
@@ -733,8 +726,12 @@ mod tests {
 
     #[test]
     fn margin_tracks_spur_level() {
-        let loud = test_mask().check(&psd_with_spur(15e6, -25.0), 100e6);
-        let quiet = test_mask().check(&psd_with_spur(15e6, -28.0), 100e6);
+        let loud = test_mask()
+            .try_check(&psd_with_spur(15e6, -25.0), 100e6)
+            .unwrap();
+        let quiet = test_mask()
+            .try_check(&psd_with_spur(15e6, -28.0), 100e6)
+            .unwrap();
         assert!(quiet.worst_margin_db > loud.worst_margin_db);
         let delta = quiet.worst_margin_db - loud.worst_margin_db;
         assert!((delta - 3.0).abs() < 1.0, "delta {delta}");
@@ -744,9 +741,13 @@ mod tests {
     fn far_segment_has_tighter_limit() {
         // a −45 dBc spur passes at 15 MHz offset (−30 limit) but fails
         // at 30 MHz (−50 limit)
-        let near = test_mask().check(&psd_with_spur(15e6, -45.0), 100e6);
+        let near = test_mask()
+            .try_check(&psd_with_spur(15e6, -45.0), 100e6)
+            .unwrap();
         assert!(near.passed);
-        let far = test_mask().check(&psd_with_spur(30e6, -45.0), 100e6);
+        let far = test_mask()
+            .try_check(&psd_with_spur(30e6, -45.0), 100e6)
+            .unwrap();
         assert!(!far.passed);
     }
 
@@ -754,14 +755,14 @@ mod tests {
     fn offsets_below_first_segment_are_unchecked() {
         // spur inside the occupied band: not a mask violation
         let psd = psd_with_spur(4e6, -10.0);
-        let report = test_mask().check(&psd, 100e6);
+        let report = test_mask().try_check(&psd, 100e6).unwrap();
         assert!(report.passed);
     }
 
     #[test]
     fn worst_frequency_is_reported() {
         let psd = psd_with_spur(30e6, -20.0);
-        let report = test_mask().check(&psd, 100e6);
+        let report = test_mask().try_check(&psd, 100e6).unwrap();
         assert!((report.worst_frequency_hz - 130e6).abs() < 1e6);
     }
 
@@ -799,7 +800,7 @@ mod tests {
             (fc + 12.5e6, -30.0), // spur exactly on the shared edge
             (fc + 30e6, -60.0),   // far segment, clean
         ]);
-        let report = mask.check(&psd, fc);
+        let report = mask.try_check(&psd, fc).unwrap();
         assert!(!report.passed, "looser segment must not shadow the edge");
         assert_eq!(report.violation_count, 1);
         assert_eq!(report.violations[0].limit_dbc, -38.0);
@@ -818,12 +819,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no bins within any mask segment")]
     fn psd_missing_all_mask_segments_is_an_error() {
         // the old behavior silently returned passed with +inf margin
         let mask = test_mask();
         let psd = psd_at_exact_bins(&[(100e6, 0.0), (102e6, -20.0)]);
-        let _ = mask.check(&psd, 100e6);
+        let err = mask.try_check(&psd, 100e6).unwrap_err();
+        assert!(
+            matches!(&err, BistError::NoMaskCoverage { reason }
+                if reason.contains("no bins within any mask segment")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -836,7 +841,7 @@ mod tests {
         for i in 0..200 {
             bins.push((fc + 9e6 + i as f64 * 50e3, -10.0));
         }
-        let report = mask.check(&psd_at_exact_bins(&bins), fc);
+        let report = mask.try_check(&psd_at_exact_bins(&bins), fc).unwrap();
         assert!(!report.passed);
         assert_eq!(report.violations.len(), MAX_REPORTED_VIOLATIONS);
         assert_eq!(report.violation_count, 200, "truncation must be visible");
@@ -850,12 +855,12 @@ mod tests {
         for i in 0..200 {
             bins.push((fc + 9e6 + i as f64 * 50e3, -10.0));
         }
-        let truncated = mask.check(&psd_at_exact_bins(&bins), fc);
+        let truncated = mask.try_check(&psd_at_exact_bins(&bins), fc).unwrap();
         assert!(truncated.truncated);
         assert_eq!(truncated.violations.len(), MAX_REPORTED_VIOLATIONS);
-        let clean = mask.check(&psd_with_spur(15e6, -80.0), 100e6);
+        let clean = mask.try_check(&psd_with_spur(15e6, -80.0), 100e6).unwrap();
         assert!(!clean.truncated);
-        let single = mask.check(&psd_with_spur(15e6, -20.0), 100e6);
+        let single = mask.try_check(&psd_with_spur(15e6, -20.0), 100e6).unwrap();
         assert!(!single.truncated, "uncapped violations are not truncated");
         assert!(!single.passed);
     }
@@ -901,7 +906,7 @@ mod tests {
             rolloff: 0.25,
             max_rbw_hz: 500e3,
             summary: "custom",
-            mask: SpectralMask::new(
+            mask: SpectralMask::try_new(
                 "custom-nb",
                 1e6,
                 vec![MaskSegment {
@@ -909,7 +914,8 @@ mod tests {
                     offset_hi: 8e6,
                     limit_dbc: -30.0,
                 }],
-            ),
+            )
+            .unwrap(),
         });
         assert_eq!(lib.len(), n + 1);
         assert!(lib.get("custom-nb").is_some());
@@ -945,35 +951,42 @@ mod tests {
                 }
                 psd_at_exact_bins(&bins)
             };
-            let clean = std.mask.check(&grid(None), fc);
+            let clean = std.mask.try_check(&grid(None), fc).unwrap();
             assert!(
                 clean.passed,
                 "{} clean: {}",
                 std.name(),
                 clean.worst_margin_db
             );
-            let spurred = std.mask.check(&grid(Some(seg0.limit_dbc + 10.0)), fc);
+            let spurred = std
+                .mask
+                .try_check(&grid(Some(seg0.limit_dbc + 10.0)), fc)
+                .unwrap();
             assert!(!spurred.passed, "{} spur must fail", std.name());
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one segment")]
-    fn empty_mask_panics() {
-        let _ = SpectralMask::new("empty", 1e6, vec![]);
+    fn empty_mask_is_rejected() {
+        assert_invalid(
+            SpectralMask::try_new("empty", 1e6, vec![]),
+            "at least one segment",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "0 <= lo < hi")]
-    fn inverted_segment_panics() {
-        let _ = SpectralMask::new(
-            "bad",
-            1e6,
-            vec![MaskSegment {
-                offset_lo: 5e6,
-                offset_hi: 2e6,
-                limit_dbc: -30.0,
-            }],
+    fn inverted_segment_is_rejected() {
+        assert_invalid(
+            SpectralMask::try_new(
+                "bad",
+                1e6,
+                vec![MaskSegment {
+                    offset_lo: 5e6,
+                    offset_hi: 2e6,
+                    limit_dbc: -30.0,
+                }],
+            ),
+            "0 <= lo < hi",
         );
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::error::BistError;
 use crate::mask::{report_from_margins, MaskReport, SpectralMask};
-use rfbist_dsp::goertzel::{GoertzelBank, GoertzelScratch, GoertzelState};
+use rfbist_dsp::goertzel::{GoertzelBank, GoertzelState};
 use rfbist_dsp::window::Window;
 
 /// One probed Welch bin and its verdict role.
@@ -43,31 +43,14 @@ struct ScanBin {
     one_sided: f64,
 }
 
-/// Reusable buffers for [`MaskScanEngine::scan_with`]; create once per
-/// sweep so repeated scans allocate nothing (the
-/// [`PnbsScratch`](rfbist_sampling::plan::PnbsScratch) shape applied
-/// to the verdict path).
-#[derive(Clone, Debug, Default)]
-pub struct MaskScanScratch {
-    acc: Vec<f64>,
-    goertzel: GoertzelScratch,
-}
-
-impl MaskScanScratch {
-    /// An empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A prepared spectral-mask compliance scanner: mask bin table,
 /// Goertzel coefficient bank and window coefficients for one
 /// (mask, carrier, sample rate, Welch segmentation) configuration.
 ///
 /// Mirrors the `PnbsPlan` split: everything that does not depend on
 /// the waveform — bin selection, `2cos ω` tables, window, density
-/// normalization — is computed once here; [`scan`](Self::scan) then
-/// runs one banked recurrence pass per Welch segment.
+/// normalization — is computed once here; [`try_scan`](Self::try_scan)
+/// then runs one banked recurrence pass per Welch segment.
 ///
 /// # Example
 ///
@@ -82,7 +65,7 @@ impl MaskScanScratch {
 /// let x: Vec<f64> = (0..8192)
 ///     .map(|i| (2.0 * PI * fc * i as f64 / fs).sin())
 ///     .collect();
-/// let mask = SpectralMask::new(
+/// let mask = SpectralMask::try_new(
 ///     "doc",
 ///     5e6,
 ///     vec![rfbist_core::mask::MaskSegment {
@@ -90,10 +73,12 @@ impl MaskScanScratch {
 ///         offset_hi: 40e6,
 ///         limit_dbc: -30.0,
 ///     }],
-/// );
-/// let engine = MaskScanEngine::new(&mask, fc, fs, 4096, 2048, Window::BlackmanHarris);
-/// let report = engine.scan(&x);
+/// )?;
+/// let engine =
+///     MaskScanEngine::try_build(&mask, fc, fs, 4096, 2048, Window::BlackmanHarris, None)?;
+/// let report = engine.try_scan(&x)?;
 /// assert!(report.passed);
+/// # Ok::<(), rfbist_core::error::BistError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct MaskScanEngine {
@@ -110,73 +95,30 @@ pub struct MaskScanEngine {
 }
 
 impl MaskScanEngine {
-    /// Prepares a scanner for `mask` around `carrier_hz` on waveforms
-    /// sampled at `fs`, Welch-averaged over `segment_len`-sample
-    /// segments overlapping by `overlap` samples under `window`.
+    /// Prepares a scanner for `mask` around `carrier_hz` (Hz) on
+    /// waveforms sampled at `fs` (Hz), Welch-averaged over
+    /// `segment_len`-sample segments overlapping by `overlap` samples
+    /// under `window`.
     ///
     /// The probed bins are exactly the `k·fs/segment_len` centers of
     /// the equivalent [`rfbist_dsp::psd::welch`] estimate that fall
     /// inside the reference region or a mask segment.
     ///
-    /// # Panics
-    ///
-    /// Panics under the same parameter contract as `welch`
-    /// (`segment_len > 0`, `overlap < segment_len`, `fs > 0`), and —
-    /// like [`SpectralMask::check`] on an equivalent PSD — when the bin
-    /// grid puts no bin inside the reference region or none inside any
-    /// mask segment: a scan that could never fail must not be
-    /// constructible.
-    pub fn new(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-    ) -> Self {
-        Self::build(mask, carrier_hz, fs, segment_len, overlap, window, None)
-    }
-
-    /// [`new`](Self::new) with an additional noise-figure measurement
-    /// band, given as absolute carrier offsets `(offset_lo, offset_hi)`
-    /// in Hz: bins with `offset_lo ≤ |f − carrier| ≤ offset_hi` (both
-    /// sidebands) are probed alongside the mask bins, and their mean
-    /// density is reported by
+    /// An optional noise-figure measurement band, given as absolute
+    /// carrier offsets `(offset_lo, offset_hi)` in Hz, adds the bins
+    /// with `offset_lo ≤ |f − carrier| ≤ offset_hi` (both sidebands);
+    /// their mean density is reported by
     /// [`StreamingMaskScan::noise_density_dbhz`]. Probing them rides
     /// the same banked Goertzel pass — the NF measurement is close to
     /// free on top of the mask verdict.
     ///
-    /// # Panics
-    ///
-    /// Panics under the [`new`](Self::new) contract, and additionally
-    /// when the noise band is malformed (`offset_lo < 0` or
-    /// `offset_hi ≤ offset_lo`) or puts no bin on the scan grid.
-    pub fn with_noise_band(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-        noise_band: (f64, f64),
-    ) -> Self {
-        Self::build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            window,
-            Some(noise_band),
-        )
-    }
-
-    /// [`new`](Self::new)/[`with_noise_band`](Self::with_noise_band)
-    /// (same `carrier_hz` carrier and `fs` sample rate, both in Hz)
-    /// returning a typed [`BistError`] instead of panicking: parameter
-    /// violations surface as [`BistError::InvalidConfig`], empty
-    /// reference/segment/noise coverage as
-    /// [`BistError::NoMaskCoverage`].
+    /// Parameter violations of the `welch` contract (`segment_len > 0`,
+    /// `overlap < segment_len`, `fs > 0`) and a malformed noise band
+    /// are [`BistError::InvalidConfig`]. A bin grid that puts no bin
+    /// inside the reference region, any mask segment or the noise band
+    /// is [`BistError::NoMaskCoverage`] — like
+    /// [`SpectralMask::try_check`] on an equivalent PSD: a scan that
+    /// could never fail must not be constructible.
     pub fn try_build(
         mask: &SpectralMask,
         carrier_hz: f64,
@@ -267,27 +209,6 @@ impl MaskScanEngine {
         })
     }
 
-    fn build(
-        mask: &SpectralMask,
-        carrier_hz: f64,
-        fs: f64,
-        segment_len: usize,
-        overlap: usize,
-        window: Window,
-        noise_band: Option<(f64, f64)>,
-    ) -> Self {
-        Self::try_build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            window,
-            noise_band,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Number of probed bins (mask + reference + noise band).
     pub fn probed_bins(&self) -> usize {
         self.bins.len()
@@ -305,76 +226,31 @@ impl MaskScanEngine {
     }
 
     /// Scans `wave` and returns the mask verdict, allocating fresh
-    /// scratch; use [`scan_with`](Self::scan_with) in sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wave` is shorter than one Welch segment.
-    pub fn scan(&self, wave: &[f64]) -> MaskReport {
-        self.scan_with(wave, &mut MaskScanScratch::new())
-    }
-
-    /// [`scan`](Self::scan) returning a typed [`BistError`] instead of
-    /// panicking on a too-short waveform.
+    /// scratch; use [`try_scan_with`](Self::try_scan_with) in sweeps.
+    /// A wave shorter than one Welch segment is
+    /// [`BistError::CaptureTooShort`].
     pub fn try_scan(&self, wave: &[f64]) -> Result<MaskReport, BistError> {
-        self.try_scan_with(wave, &mut MaskScanScratch::new())
+        self.try_scan_with(wave, &mut StreamScratch::new())
     }
 
-    /// [`scan`](Self::scan) with caller-owned scratch buffers, so
-    /// repeated scans (fault sweeps, benches) allocate nothing.
-    pub fn scan_with(&self, wave: &[f64], scratch: &mut MaskScanScratch) -> MaskReport {
-        self.try_scan_with(wave, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`scan_with`](Self::scan_with) returning a typed [`BistError`]
-    /// instead of panicking — the form sweep drivers and services
-    /// should call.
+    /// [`try_scan`](Self::try_scan) with caller-owned scratch buffers,
+    /// so repeated scans (fault sweeps, benches) allocate nothing: the
+    /// whole wave is one [`StreamingMaskScan::push`], so a batch scan
+    /// and any chunked stream of the same samples share one definition
+    /// of the Welch segment accumulation.
     pub fn try_scan_with(
         &self,
         wave: &[f64],
-        scratch: &mut MaskScanScratch,
+        scratch: &mut StreamScratch,
     ) -> Result<MaskReport, BistError> {
-        if wave.len() < self.segment_len {
-            return Err(BistError::CaptureTooShort {
-                reason: format!(
-                    "waveform shorter ({}) than one scan segment ({})",
-                    wave.len(),
-                    self.segment_len
-                ),
-            });
-        }
-        // Welch-style segment averaging of banked Goertzel powers: the
-        // same hop/window/normalization as `welch`, with only the
-        // probed bins ever materialized.
-        scratch.acc.clear();
-        scratch.acc.resize(self.bins.len(), 0.0);
-        let mut count = 0usize;
-        let mut start = 0usize;
-        while start + self.segment_len <= wave.len() {
-            // Window fold inside the banked pass — the same `x·w`
-            // products a staging buffer would hold, formed in-register
-            // (bit-identical, see `GoertzelBank::windowed_powers_into`).
-            let powers = self.bank.windowed_powers_into(
-                &wave[start..start + self.segment_len],
-                &self.window,
-                &mut scratch.goertzel,
-            );
-            for (a, p) in scratch.acc.iter_mut().zip(powers) {
-                *a += *p;
-            }
-            count += 1;
-            start += self.hop;
-        }
-
-        Ok(self.report_from_acc(&scratch.acc, count))
+        let mut scan = self.stream(scratch, None);
+        scan.push(wave);
+        scan.try_finish()
     }
 
     /// Folds per-bin accumulated segment powers (`count` completed
     /// Welch segments) into the mask verdict — the single definition
-    /// shared by the batched [`scan_with`](Self::scan_with) and the
-    /// push-style [`StreamingMaskScan`], so a streamed verdict is
-    /// bit-identical to a batched one over the same segments.
+    /// behind final and provisional [`StreamingMaskScan`] reports.
     fn report_from_acc(&self, acc: &[f64], count: usize) -> MaskReport {
         // Per-bin one-sided density in dB, matching `PsdEstimate::psd_db`
         // (including its 1e-30 floor).
@@ -388,9 +264,12 @@ impl MaskScanEngine {
             .filter(|(b, _)| b.in_reference)
             .map(|(b, &a)| db(a, b.one_sided))
             .fold(f64::NEG_INFINITY, f64::max);
-        debug_assert!(reference_db.is_finite(), "reference bins pinned in new()");
+        debug_assert!(
+            reference_db.is_finite(),
+            "reference bins pinned in try_build()"
+        );
 
-        // same verdict fold as `SpectralMask::check` — one definition,
+        // same verdict fold as `SpectralMask::try_check` — one definition,
         // so the two scan strategies cannot drift
         let (report, _) = report_from_margins(
             self.mask_name.clone(),
@@ -464,18 +343,9 @@ pub struct EarlyVerdict {
 }
 
 impl EarlyVerdict {
-    /// A policy with the given guard margin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guard_db` is negative or non-finite.
-    pub fn with_guard(guard_db: f64) -> Self {
-        Self::try_with_guard(guard_db).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`with_guard`](Self::with_guard) returning a typed
-    /// [`BistError::InvalidConfig`] on a negative or non-finite
-    /// `guard_db`.
+    /// A policy with the given guard margin `guard_db` (dB); a
+    /// negative or non-finite margin is a typed
+    /// [`BistError::InvalidConfig`].
     pub fn try_with_guard(guard_db: f64) -> Result<Self, BistError> {
         if !(guard_db.is_finite() && guard_db >= 0.0) {
             return Err(BistError::InvalidConfig {
@@ -538,7 +408,7 @@ pub enum ScanFeed {
 /// segment (let alone the full capture) ever materializes.
 ///
 /// Feeding the same samples in any chunking yields a verdict
-/// bit-identical to [`MaskScanEngine::scan`] on the concatenated
+/// bit-identical to [`MaskScanEngine::try_scan`] on the concatenated
 /// capture (pinned by `tests/stream_scan_equivalence.rs`): the
 /// windowed products, the per-bin recurrences and the segment fold all
 /// perform the same operations in the same order.
@@ -591,9 +461,8 @@ impl StreamingMaskScan<'_> {
                 engine.bank.reset_state(state);
             }
             // Window the chunk at its position inside the segment,
-            // folded into the banked pass itself — the same products
-            // `scan_with` forms for the whole segment at once, with no
-            // staging copy between the block feed and the recurrences.
+            // folded into the banked pass itself — no staging copy
+            // between the block feed and the recurrences.
             let wpos = a - seg_start;
             engine.bank.advance_state_windowed(
                 state,
@@ -602,8 +471,7 @@ impl StreamingMaskScan<'_> {
             );
             if b == seg_start + seg {
                 // segment complete: fold its powers into the Welch
-                // average (segments complete in start order, matching
-                // the batched loop)
+                // average (segments complete in start order)
                 engine.bank.accumulate_powers(state, acc);
                 self.segments += 1;
                 if let Some(policy) = self.early {
@@ -659,26 +527,14 @@ impl StreamingMaskScan<'_> {
     }
 
     /// Final verdict over every completed segment (a trailing partial
-    /// segment is discarded, exactly as the batched scan and `welch`
-    /// discard it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the streamed capture was shorter than one Welch
-    /// segment — the same contract as [`MaskScanEngine::scan`]. The
-    /// typed form is [`try_finish`](Self::try_finish).
-    pub fn finish(self) -> MaskReport {
-        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`finish`](Self::finish) returning
-    /// [`BistError::CaptureTooShort`] instead of panicking when no
-    /// segment completed.
+    /// segment is discarded, exactly as `welch` discards it);
+    /// [`BistError::CaptureTooShort`] when the capture was shorter than
+    /// one Welch segment.
     pub fn try_finish(self) -> Result<MaskReport, BistError> {
         if self.segments == 0 {
             return Err(BistError::CaptureTooShort {
                 reason: format!(
-                    "streamed capture shorter ({}) than one scan segment ({})",
+                    "capture shorter ({}) than one scan segment ({})",
                     self.pushed, self.engine.segment_len
                 ),
             });
@@ -709,7 +565,7 @@ mod tests {
     }
 
     fn test_mask() -> SpectralMask {
-        SpectralMask::new(
+        SpectralMask::try_new(
             "scan-test",
             5e6,
             vec![
@@ -725,14 +581,17 @@ mod tests {
                 },
             ],
         )
+        .unwrap()
     }
 
     fn engines() -> (MaskScanEngine, impl Fn(&[f64]) -> MaskReport) {
         let mask = test_mask();
-        let scan = MaskScanEngine::new(&mask, FC, FS, 4096, 2048, Window::BlackmanHarris);
+        let scan =
+            MaskScanEngine::try_build(&mask, FC, FS, 4096, 2048, Window::BlackmanHarris, None)
+                .unwrap();
         let fft = move |wave: &[f64]| {
             let psd = welch(wave, FS, 4096, 2048, Window::BlackmanHarris);
-            mask.check(&psd, FC)
+            mask.try_check(&psd, FC).unwrap()
         };
         (scan, fft)
     }
@@ -742,7 +601,7 @@ mod tests {
         let (scan, fft) = engines();
         for (offset, level) in [(15e6, -80.0), (15e6, -20.0), (30e6, -45.0), (12e6, -29.0)] {
             let wave = spur_wave(12288, offset, level);
-            let a = scan.scan(&wave);
+            let a = scan.try_scan(&wave).unwrap();
             let b = fft(&wave);
             assert_eq!(a.passed, b.passed, "spur {offset:e} @ {level} dBc");
             assert!(
@@ -779,11 +638,15 @@ mod tests {
         let (scan, _) = engines();
         let clean = spur_wave(12288, 15e6, -70.0);
         let dirty = spur_wave(12288, 15e6, -10.0);
-        let mut scratch = MaskScanScratch::new();
-        let a1 = scan.scan_with(&clean, &mut scratch);
-        let b1 = scan.scan_with(&dirty, &mut scratch);
-        assert_eq!(a1, scan.scan(&clean), "scratch must not leak state");
-        assert_eq!(b1, scan.scan(&dirty));
+        let mut scratch = StreamScratch::new();
+        let a1 = scan.try_scan_with(&clean, &mut scratch).unwrap();
+        let b1 = scan.try_scan_with(&dirty, &mut scratch).unwrap();
+        assert_eq!(
+            a1,
+            scan.try_scan(&clean).unwrap(),
+            "scratch must not leak state"
+        );
+        assert_eq!(b1, scan.try_scan(&dirty).unwrap());
         assert!(a1.passed && !b1.passed);
     }
 
@@ -793,7 +656,7 @@ mod tests {
         // 9000 samples: one full 4096 segment at 0, one at 2048; the
         // tail past 6144 is dropped by both paths
         let wave = spur_wave(9000, 25e6, -44.0);
-        let a = scan.scan(&wave);
+        let a = scan.try_scan(&wave).unwrap();
         let b = fft(&wave);
         assert_eq!(a.passed, b.passed);
         assert!((a.worst_margin_db - b.worst_margin_db).abs() < 1e-6);
@@ -813,7 +676,7 @@ mod tests {
             }
         }
         let stopped = stream.early_stopped();
-        (stream.finish(), stopped)
+        (stream.try_finish().unwrap(), stopped)
     }
 
     #[test]
@@ -821,7 +684,7 @@ mod tests {
         let (scan, _) = engines();
         for (offset, level) in [(15e6, -80.0), (15e6, -20.0), (30e6, -45.0)] {
             let wave = spur_wave(12288, offset, level);
-            let batched = scan.scan(&wave);
+            let batched = scan.try_scan(&wave).unwrap();
             // chunk sizes off the segment, hop and 4-sample-unroll
             // boundaries must all reproduce the batched verdict exactly
             for chunk in [256usize, 4096, 12288, 1000, 7, 2049] {
@@ -835,7 +698,7 @@ mod tests {
     fn streamed_trailing_tail_is_discarded_like_welch() {
         let (scan, _) = engines();
         let wave = spur_wave(9000, 25e6, -44.0);
-        let batched = scan.scan(&wave);
+        let batched = scan.try_scan(&wave).unwrap();
         let (streamed, _) = stream_in_chunks(&scan, &wave, 333, None);
         assert_eq!(streamed, batched);
     }
@@ -858,7 +721,7 @@ mod tests {
         // 12288 samples, seg 4096, hop 2048 ⇒ 5 complete segments
         assert_eq!(stream.segments_completed(), 5);
         assert!(!stream.early_stopped());
-        assert_eq!(stream.finish(), scan.scan(&wave));
+        assert_eq!(stream.try_finish().unwrap(), scan.try_scan(&wave).unwrap());
     }
 
     #[test]
@@ -892,7 +755,7 @@ mod tests {
         // pushes after the stop are ignored no-ops
         let mut stream2 = stream;
         assert_eq!(stream2.push(&gross[..256]), ScanFeed::EarlyStop);
-        assert!(!stream2.finish().passed);
+        assert!(!stream2.try_finish().unwrap().passed);
     }
 
     #[test]
@@ -907,44 +770,64 @@ mod tests {
             for piece in wave.chunks(512) {
                 stream.push(piece);
             }
-            reports.push(stream.finish());
+            reports.push(stream.try_finish().unwrap());
         }
         assert_eq!(reports[0], reports[2], "scratch must not leak state");
-        assert_eq!(reports[0], scan.scan(&clean));
-        assert_eq!(reports[1], scan.scan(&dirty));
+        assert_eq!(reports[0], scan.try_scan(&clean).unwrap());
+        assert_eq!(reports[1], scan.try_scan(&dirty).unwrap());
+    }
+
+    /// Asserts `result` is the `CaptureTooShort` error whose reason
+    /// names the short capture.
+    fn assert_too_short(result: Result<MaskReport, BistError>) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, BistError::CaptureTooShort { reason } if reason.contains("shorter")),
+            "{err}"
+        );
+    }
+
+    /// Asserts `result` is the `NoMaskCoverage` error whose reason
+    /// contains `needle`.
+    fn assert_no_coverage(result: Result<MaskScanEngine, BistError>, needle: &str) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, BistError::NoMaskCoverage { reason } if reason.contains(needle)),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "shorter")]
-    fn streamed_short_capture_panics_at_finish() {
+    fn streamed_short_capture_is_rejected_at_finish() {
         let (scan, _) = engines();
         let wave = spur_wave(1000, 15e6, -40.0);
         let mut scratch = StreamScratch::new();
         let mut stream = scan.stream(&mut scratch, None);
         stream.push(&wave);
-        let _ = stream.finish();
+        assert_too_short(stream.try_finish());
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_guard_is_rejected() {
-        let _ = EarlyVerdict::with_guard(-1.0);
+        let err = EarlyVerdict::try_with_guard(-1.0).unwrap_err();
+        assert!(
+            matches!(&err, BistError::InvalidConfig { reason } if reason.contains("non-negative")),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "shorter")]
-    fn short_waveform_panics() {
+    fn short_waveform_is_rejected() {
         let (scan, _) = engines();
-        let _ = scan.scan(&spur_wave(1000, 15e6, -40.0));
+        assert_too_short(scan.try_scan(&spur_wave(1000, 15e6, -40.0)));
     }
 
     #[test]
-    #[should_panic(expected = "no bins within any mask segment")]
     fn unresolvable_mask_is_rejected_at_construction() {
         // 16-sample segments ⇒ 25 MHz bins; the carrier sits on bin 4
         // (reference resolved) but every bin offset is a multiple of
         // 25 MHz, all outside the 8–20 MHz mask segment
-        let mask = SpectralMask::new(
+        let mask = SpectralMask::try_new(
             "narrow",
             5e6,
             vec![crate::mask::MaskSegment {
@@ -952,15 +835,18 @@ mod tests {
                 offset_hi: 20e6,
                 limit_dbc: -30.0,
             }],
+        )
+        .unwrap();
+        assert_no_coverage(
+            MaskScanEngine::try_build(&mask, FC, FS, 16, 8, Window::BlackmanHarris, None),
+            "no bins within any mask segment",
         );
-        let _ = MaskScanEngine::new(&mask, FC, FS, 16, 8, Window::BlackmanHarris);
     }
 
     #[test]
-    #[should_panic(expected = "reference region")]
     fn unresolvable_reference_is_rejected_at_construction() {
         // carrier far off the bin grid relative to a tiny reference
-        let mask = SpectralMask::new(
+        let mask = SpectralMask::try_new(
             "ref",
             1e3,
             vec![crate::mask::MaskSegment {
@@ -968,7 +854,19 @@ mod tests {
                 offset_hi: 40e6,
                 limit_dbc: -30.0,
             }],
+        )
+        .unwrap();
+        assert_no_coverage(
+            MaskScanEngine::try_build(
+                &mask,
+                FC + 40e3,
+                FS,
+                4096,
+                2048,
+                Window::BlackmanHarris,
+                None,
+            ),
+            "reference region",
         );
-        let _ = MaskScanEngine::new(&mask, FC + 40e3, FS, 4096, 2048, Window::BlackmanHarris);
     }
 }

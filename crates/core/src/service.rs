@@ -439,7 +439,7 @@ pub fn try_campaign_jobs(
             .impairments(TxImpairments::typical())
             .build();
         let est = BistEngine::new(base.clone()).try_calibrate_skew(&burst.rf_output())?;
-        let cfg = base.with_calibrated_skew(est.delay);
+        let cfg = base.try_with_calibrated_skew(est.delay)?;
         for dut in duts {
             let n_sym = ((span * standard.symbol_rate) as usize + 30).max(96);
             let bb = ShapedBaseband::qpsk_prbs(

@@ -511,33 +511,6 @@ impl GoertzelBank {
         self.extract_powers(scratch)
     }
 
-    /// [`powers_into`](Self::powers_into) with the window applied on
-    /// the fly, bit-identical to staging `x[i]·w[i]` first (see
-    /// [`advance_state_windowed`](Self::advance_state_windowed)) —
-    /// the batched form of the window fold, so a segment-averaging
-    /// scan and its streaming twin can both drop their staging
-    /// buffers without their verdicts drifting apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty or `w` and `x` differ in length.
-    pub fn windowed_powers_into<'s>(
-        &self,
-        x: &[f64],
-        w: &[f64],
-        scratch: &'s mut GoertzelScratch,
-    ) -> &'s [f64] {
-        assert!(!x.is_empty(), "goertzel over empty data");
-        assert_eq!(x.len(), w.len(), "window must match the segment");
-        let m = self.len();
-        scratch.s1.clear();
-        scratch.s1.resize(m, 0.0);
-        scratch.s2.clear();
-        scratch.s2.resize(m, 0.0);
-        self.advance_windowed_dispatch(x, w, &mut scratch.s1, &mut scratch.s2);
-        self.extract_powers(scratch)
-    }
-
     /// `|X|² = s₁² + s₂² − 2cos ω·s₁·s₂` per bin (phase rotations drop
     /// out) from the final states in `scratch`, into `scratch.out`.
     fn extract_powers<'s>(&self, scratch: &'s mut GoertzelScratch) -> &'s [f64] {
@@ -710,12 +683,7 @@ mod tests {
         let batched = bank.powers_into(&staged, &mut scratch).to_vec();
         // the on-the-fly window fold forms the same products at the
         // same recurrence points as the staged form — bit-identical,
-        // batched and chunked (including off-unroll boundaries)
-        assert_eq!(
-            bank.windowed_powers_into(&x, &w, &mut scratch),
-            &batched[..],
-            "windowed batch pass diverged from staging"
-        );
+        // whole and chunked (including off-unroll boundaries)
         for chunks in [vec![1000], vec![256, 256, 256, 232], vec![7, 501, 3, 489]] {
             let mut state = GoertzelState::new();
             bank.reset_state(&mut state);

@@ -8,7 +8,7 @@
 
 use rfbist::prelude::*;
 
-fn main() {
+fn main() -> Result<(), BistError> {
     let dual = DualRateConfig::paper_section_v();
     println!(
         "Plan: fc = 1 GHz, B = {} MHz (k+ = {}), B1 = {} MHz (k1+ = {}), m = {:.1} ps",
@@ -31,13 +31,13 @@ fn main() {
             .with_sample_rate(dual.slow_rate())
             .with_seed(0x51DE),
     );
-    let cost = DualRateCost::paper_probes(
+    let cost = DualRateCost::try_paper_probes(
         fast.capture(&tx, 80, 260),
         slow.capture(&tx, 40, 160),
         dual,
         300,
         42,
-    );
+    )?;
 
     // Fig. 5 in miniature: the cost has a single sharp minimum at D.
     println!("\ncost-function samples (D_hat -> cost):");
@@ -71,4 +71,5 @@ fn main() {
             est.delay * 1e12
         );
     }
+    Ok(())
 }

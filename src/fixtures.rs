@@ -12,12 +12,13 @@
 //! use rfbist::prelude::*;
 //!
 //! let tx = fixtures::paper_tx(TxImpairments::typical());
-//! let report = fixtures::paper_engine().run(
+//! let report = fixtures::paper_engine().try_run(
 //!     &tx.rf_output(),
 //!     &fixtures::paper_mask(),
 //!     Some(&tx.ideal_rf_output()),
-//! );
+//! )?;
 //! assert!(report.passed());
+//! # Ok::<(), BistError>(())
 //! ```
 
 use crate::prelude::*;
@@ -93,13 +94,13 @@ pub fn paper_engine() -> BistEngine {
 /// The Section V dual-rate cost function over an ideal front-end:
 /// both-rate captures of the QPSK stimulus plus `n_probes` random probe
 /// times — the fixture the plan-equivalence and Fig. 5-shaped tests
-/// share.
-pub fn paper_cost_fixture(n_probes: usize, seed: u64) -> DualRateCost {
+/// share. A zero `n_probes` is a [`BistError::InvalidConfig`].
+pub fn paper_cost_fixture(n_probes: usize, seed: u64) -> Result<DualRateCost, BistError> {
     let cfg = DualRateConfig::paper_section_v();
     let tx = paper_stimulus_seeded(96, PAPER_PRBS_SEED);
     let mut fast = BpTiadc::new(BpTiadcConfig::ideal(cfg.fast_rate(), cfg.delay()));
     let mut slow = BpTiadc::new(BpTiadcConfig::ideal(cfg.slow_rate(), cfg.delay()));
-    DualRateCost::paper_probes(
+    DualRateCost::try_paper_probes(
         fast.capture(&tx, 80, 260),
         slow.capture(&tx, 40, 160),
         cfg,

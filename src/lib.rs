@@ -29,12 +29,13 @@
 //!     .impairments(TxImpairments::typical())
 //!     .build();
 //! let engine = BistEngine::new(BistConfig::paper_default());
-//! let report = engine.run(
+//! let report = engine.try_run(
 //!     &tx.rf_output(),
 //!     &SpectralMask::qpsk_10msym(),
 //!     Some(&tx.ideal_rf_output()),
-//! );
+//! )?;
 //! assert!(report.passed());
+//! # Ok::<(), BistError>(())
 //! ```
 
 pub mod fixtures;
@@ -55,8 +56,8 @@ pub mod prelude {
         SkewGate, StreamRecovery,
     };
     pub use rfbist_core::campaign::{
-        run_campaign, try_run_campaign, try_run_campaign_supervised, CampaignConfig,
-        CampaignProgress, CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
+        try_run_campaign, try_run_campaign_supervised, CampaignConfig, CampaignProgress,
+        CoverageMatrix, Deployment, FaultOutcome, StandardOutcome,
     };
     pub use rfbist_core::cost::DualRateCost;
     pub use rfbist_core::error::BistError;
@@ -64,9 +65,7 @@ pub mod prelude {
     pub use rfbist_core::jamal::{estimate_skew_jamal, test_tone_for_ratio};
     pub use rfbist_core::lms::{estimate_skew_lms, LmsConfig};
     pub use rfbist_core::mask::{MaskLibrary, MaskSegment, MaskStandard, SpectralMask};
-    pub use rfbist_core::scan::{
-        EarlyVerdict, MaskScanEngine, MaskScanScratch, ScanFeed, StreamScratch,
-    };
+    pub use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
     pub use rfbist_core::service::{
         try_campaign_jobs, DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService,
     };

@@ -24,7 +24,9 @@ static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 /// externally calibrated skew (no slow-channel capture, so the chaos
 /// applies to exactly one capture path) and a short analysis grid.
 fn chaos_config() -> BistConfig {
-    let mut cfg = BistConfig::paper_default().with_calibrated_skew(180e-12);
+    let mut cfg = BistConfig::paper_default()
+        .try_with_calibrated_skew(180e-12)
+        .unwrap();
     cfg.grid_len = 2048;
     cfg
 }
@@ -199,13 +201,17 @@ fn producer_panic_recovers_with_parallel_retry() {
     let engine = BistEngine::new(cfg);
 
     chaos::arm_producer_panics(0);
-    let clean = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
+    let clean = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
+        .unwrap();
     assert!(clean.stream_recovery.is_none());
 
     // one injected panic: the first parallel attempt dies (while the
     // worker holds the pool lock, poisoning it), the retry succeeds
     chaos::arm_producer_panics(1);
-    let recovered = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
+    let recovered = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
+        .unwrap();
     chaos::arm_producer_panics(0);
 
     assert_eq!(
@@ -227,13 +233,17 @@ fn persistent_producer_panics_degrade_to_sequential_feed() {
     let engine = BistEngine::new(cfg);
 
     chaos::arm_producer_panics(0);
-    let clean = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
+    let clean = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
+        .unwrap();
 
     // effectively unlimited injections: both parallel attempts die,
     // the engine falls back to the in-thread sequential feed (which
     // never touches the worker pool)
     chaos::arm_producer_panics(1_000_000);
-    let recovered = engine.run(&tx.rf_output(), &paper_mask(), Some(&golden));
+    let recovered = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&golden))
+        .unwrap();
     chaos::arm_producer_panics(0);
 
     assert_eq!(

@@ -11,7 +11,9 @@ use common::{paper_engine, paper_mask, paper_tx};
 fn healthy_unit_passes_with_margin() {
     let tx = paper_tx(TxImpairments::typical());
     let engine = paper_engine();
-    let report = engine.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
+    let report = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
     assert!(report.passed(), "margin {}", report.mask.worst_margin_db);
     assert!(
         report.mask.worst_margin_db > 1.0,
@@ -33,14 +35,16 @@ fn compressing_pa_fails_mask_and_healthy_margin_orders_by_severity() {
             .inject(TxImpairments::typical());
         let tx = paper_tx(imp);
         engine
-            .run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+            .try_run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+            .unwrap()
             .mask
             .worst_margin_db
     };
     let healthy = {
         let tx = paper_tx(TxImpairments::typical());
         engine
-            .run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+            .try_run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+            .unwrap()
             .mask
             .worst_margin_db
     };
@@ -60,11 +64,12 @@ fn in_band_faults_are_caught_by_golden_comparison() {
     let mask = paper_mask();
     let healthy_tx = paper_tx(TxImpairments::typical());
     let healthy_eps = engine
-        .run(
+        .try_run(
             &healthy_tx.rf_output(),
             &mask,
             Some(&healthy_tx.ideal_rf_output()),
         )
+        .unwrap()
         .reconstruction_error
         .expect("reference provided");
 
@@ -72,7 +77,9 @@ fn in_band_faults_are_caught_by_golden_comparison() {
     let imp =
         Fault::new(FaultKind::IqGainImbalance { gain_db: 3.0 }).inject(TxImpairments::typical());
     let tx = paper_tx(imp);
-    let report = engine.run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()));
+    let report = engine
+        .try_run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+        .unwrap();
     // ...so the emission mask alone does not flag it...
     assert!(
         report.passed(),
@@ -90,8 +97,12 @@ fn in_band_faults_are_caught_by_golden_comparison() {
 fn engine_is_deterministic() {
     let tx = paper_tx(TxImpairments::typical());
     let engine = paper_engine();
-    let a = engine.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
-    let b = engine.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
+    let a = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
+    let b = engine
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
     assert_eq!(a.skew.delay, b.skew.delay);
     assert_eq!(a.mask.worst_margin_db, b.mask.worst_margin_db);
     assert_eq!(a.reconstruction_error, b.reconstruction_error);

@@ -27,7 +27,7 @@ fn gsm_deployment() -> Deployment {
 fn gsm_stimulus(dep: &Deployment, seed: u64) -> HomodyneTx<ShapedBaseband> {
     let standard = MaskLibrary::builtin();
     let standard = standard.get(&dep.standard).unwrap();
-    let cfg = dep.bist_config();
+    let cfg = dep.try_bist_config().unwrap();
     let span = (cfg.fast_start as f64 + dep.fast_len as f64) / 90e6 * 1.2;
     let n_sym = ((span * standard.symbol_rate) as usize + 30).max(96);
     let bb = ShapedBaseband::qpsk_prbs(standard.symbol_rate, standard.rolloff, 12, n_sym, seed);
@@ -40,13 +40,15 @@ fn gsm_stimulus(dep: &Deployment, seed: u64) -> HomodyneTx<ShapedBaseband> {
 fn narrowband_stimulus_leaves_lms_skew_wrong_but_masks_pass() {
     let dep = gsm_deployment();
     let tx = gsm_stimulus(&dep, 0xACE1);
-    let engine = BistEngine::new(dep.bist_config());
+    let engine = BistEngine::new(dep.try_bist_config().unwrap());
     let mask = MaskLibrary::builtin()
         .get(&dep.standard)
         .unwrap()
         .mask
         .clone();
-    let report = engine.run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()));
+    let report = engine
+        .try_run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+        .unwrap();
     // this is the bug being pinned: the verdict is green...
     assert!(report.mask.passed, "margin {}", report.mask.worst_margin_db);
     assert!(report.skew_ok, "the residual gate cannot see this failure");
@@ -63,14 +65,16 @@ fn narrowband_stimulus_leaves_lms_skew_wrong_but_masks_pass() {
 #[test]
 fn wideband_calibration_burst_fixes_the_narrowband_skew() {
     let dep = gsm_deployment();
-    let cfg = dep.bist_config();
+    let cfg = dep.try_bist_config().unwrap();
     let span = (cfg.fast_start as f64 + dep.fast_len as f64) / 90e6 * 1.2;
     let n_sym = ((span * CALIBRATION_SYMBOL_RATE) as usize + 30).max(96);
     let burst_bb = ShapedBaseband::qpsk_prbs(CALIBRATION_SYMBOL_RATE, 0.5, 12, n_sym, 0xACE1);
     let burst = HomodyneTx::builder(burst_bb, dep.carrier_hz)
         .impairments(TxImpairments::typical())
         .build();
-    let est = BistEngine::new(cfg.clone()).calibrate_skew(&burst.rf_output());
+    let est = BistEngine::new(cfg.clone())
+        .try_calibrate_skew(&burst.rf_output())
+        .unwrap();
     // the wideband estimate itself hits the hardware floor
     assert!(
         (est.delay - dep.delay_target()).abs() < 2.5e-12,
@@ -86,8 +90,10 @@ fn wideband_calibration_burst_fixes_the_narrowband_skew() {
         .unwrap()
         .mask
         .clone();
-    let engine = BistEngine::new(cfg.with_calibrated_skew(est.delay));
-    let report = engine.run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()));
+    let engine = BistEngine::new(cfg.try_with_calibrated_skew(est.delay).unwrap());
+    let report = engine
+        .try_run(&tx.rf_output(), &mask, Some(&tx.ideal_rf_output()))
+        .unwrap();
     assert!(report.passed());
     assert!(
         report.skew_abs_error() < 2.5e-12,
@@ -113,7 +119,11 @@ fn lifted_masks_hold_headroom_across_payloads() {
             .find(|d| d.standard == name)
             .expect("thin-margin deployment exists");
         let standard = library.get(name).expect("library standard");
-        let cfg = dep.bist_config().with_calibrated_skew(dep.delay_target());
+        let cfg = dep
+            .try_bist_config()
+            .unwrap()
+            .try_with_calibrated_skew(dep.delay_target())
+            .unwrap();
         let span = (cfg.fast_start as f64 + dep.fast_len as f64) / 90e6 * 1.2;
         let n_sym = ((span * standard.symbol_rate) as usize + 30).max(96);
         let engine = BistEngine::new(cfg);
@@ -124,7 +134,9 @@ fn lifted_masks_hold_headroom_across_payloads() {
             let tx = HomodyneTx::builder(bb, dep.carrier_hz)
                 .impairments(TxImpairments::typical())
                 .build();
-            let report = engine.run(&tx.rf_output(), &standard.mask, Some(&tx.ideal_rf_output()));
+            let report = engine
+                .try_run(&tx.rf_output(), &standard.mask, Some(&tx.ideal_rf_output()))
+                .unwrap();
             assert!(
                 report.passed(),
                 "healthy {name} unit condemned at seed {seed:#x} \
@@ -143,7 +155,7 @@ fn lifted_masks_hold_headroom_across_payloads() {
 
 #[test]
 fn quick_campaign_covers_all_standards_without_false_alarms() {
-    let matrix = run_campaign(&CampaignConfig::quick());
+    let matrix = try_run_campaign(&CampaignConfig::quick()).unwrap();
     assert_eq!(matrix.standards.len(), 5, "all five standards scored");
     for s in &matrix.standards {
         assert_eq!(s.false_alarms, 0, "healthy {} unit condemned", s.standard);

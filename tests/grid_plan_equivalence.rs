@@ -234,14 +234,15 @@ fn grid_probed_cost_matches_reference_across_candidates() {
     // End-to-end: a grid-probed dual-rate cost evaluated through the
     // grid-aware plan equals the direct-reference cost to 1e-9 at every
     // candidate of a Fig. 5 sweep.
-    let random = common::paper_cost_fixture(80, 27);
-    let cost = DualRateCost::grid_probes(
+    let random = common::paper_cost_fixture(80, 27).unwrap();
+    let cost = DualRateCost::try_grid_probes(
         random.fast_capture().clone(),
         random.slow_capture().clone(),
         *random.config(),
         80,
-    );
-    let candidates = cost.sweep_candidates(24);
+    )
+    .unwrap();
+    let candidates = cost.try_sweep_candidates(24).unwrap();
     let planned = cost.eval_grid(&candidates);
     let reference: Vec<f64> = candidates
         .iter()

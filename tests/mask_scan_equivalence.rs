@@ -23,17 +23,19 @@ fn section_v_wave(imp: TxImpairments, n: usize) -> Vec<f64> {
 fn both_verdicts(wave: &[f64]) -> (rfbist_core::MaskReport, rfbist_core::MaskReport) {
     let mask = paper_mask();
     let (seg, overlap) = welch_segmentation(wave.len());
-    let scan = MaskScanEngine::new(
+    let scan = MaskScanEngine::try_build(
         &mask,
         PAPER_CARRIER,
         4e9,
         seg,
         overlap,
         Window::BlackmanHarris,
-    );
-    let banked = scan.scan(wave);
+        None,
+    )
+    .unwrap();
+    let banked = scan.try_scan(wave).unwrap();
     let psd = welch(wave, 4e9, seg, overlap, Window::BlackmanHarris);
-    let reference = mask.check(&psd, PAPER_CARRIER);
+    let reference = mask.try_check(&psd, PAPER_CARRIER).unwrap();
     (banked, reference)
 }
 
@@ -94,8 +96,12 @@ fn engine_strategies_agree_end_to_end() {
     let banked = BistEngine::new(BistConfig::paper_default());
     let fft =
         BistEngine::new(BistConfig::paper_default().with_scan_strategy(ScanStrategy::FftWelch));
-    let a = banked.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
-    let b = fft.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
+    let a = banked
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
+    let b = fft
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
     assert_eq!(
         a.skew.delay, b.skew.delay,
         "scan choice must not touch skew"
@@ -114,14 +120,16 @@ fn engine_strategies_agree_end_to_end() {
 fn scan_probes_a_small_bin_subset() {
     let mask = paper_mask();
     let (seg, overlap) = welch_segmentation(12288);
-    let scan = MaskScanEngine::new(
+    let scan = MaskScanEngine::try_build(
         &mask,
         PAPER_CARRIER,
         4e9,
         seg,
         overlap,
         Window::BlackmanHarris,
-    );
+        None,
+    )
+    .unwrap();
     let full_bins = seg / 2 + 1;
     assert!(
         scan.probed_bins() * 10 < full_bins,

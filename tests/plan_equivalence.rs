@@ -130,8 +130,8 @@ fn integer_positioned_band_planned_matches_reference() {
 fn dual_rate_cost_grid_planned_matches_reference() {
     // The Fig. 5 shape: the batched+planned grid and the preserved
     // scalar baseline must agree to 1e-9 NRMSE across ]0, m[.
-    let cost = common::paper_cost_fixture(80, 27);
-    let candidates = cost.sweep_candidates(24);
+    let cost = common::paper_cost_fixture(80, 27).unwrap();
+    let candidates = cost.try_sweep_candidates(24).unwrap();
     let planned = cost.eval_grid(&candidates);
     let reference: Vec<f64> = candidates
         .iter()

@@ -28,14 +28,16 @@ fn section_v_wave(imp: TxImpairments, n: usize) -> Vec<f64> {
 
 fn paper_scan_engine(n: usize) -> MaskScanEngine {
     let (seg, overlap) = welch_segmentation(n);
-    MaskScanEngine::new(
+    MaskScanEngine::try_build(
         &paper_mask(),
         PAPER_CARRIER,
         4e9,
         seg,
         overlap,
         Window::BlackmanHarris,
+        None,
     )
+    .unwrap()
 }
 
 fn stream_chunks(
@@ -52,7 +54,7 @@ fn stream_chunks(
         }
     }
     let stopped = stream.early_stopped();
-    (stream.finish(), stopped)
+    (stream.try_finish().unwrap(), stopped)
 }
 
 #[test]
@@ -65,7 +67,7 @@ fn streamed_verdicts_match_batched_scan_on_section_v_fixtures() {
     );
     let scan = paper_scan_engine(12288);
     for wave in [&healthy, &faulty] {
-        let batched = scan.scan(wave);
+        let batched = scan.try_scan(wave).unwrap();
         // the engine's reconstruction-block size, segment-size and
         // off-boundary chunkings must all agree bit for bit (a far
         // stronger pin than the ≤ 1e-9 contract)
@@ -97,8 +99,17 @@ fn fused_window_scan_stays_bit_identical_across_scan_windows() {
         Window::BlackmanHarris,
         Window::Kaiser(8.0),
     ] {
-        let scan = MaskScanEngine::new(&paper_mask(), PAPER_CARRIER, 4e9, seg, overlap, window);
-        let batched = scan.scan(&wave);
+        let scan = MaskScanEngine::try_build(
+            &paper_mask(),
+            PAPER_CARRIER,
+            4e9,
+            seg,
+            overlap,
+            window,
+            None,
+        )
+        .unwrap();
+        let batched = scan.try_scan(&wave).unwrap();
         for chunk in [1usize, 3, 255, 256, 257, 4096] {
             let (streamed, stopped) = stream_chunks(&scan, &wave, chunk, None);
             assert!(!stopped);
@@ -112,11 +123,19 @@ fn early_exit_never_fires_on_passing_fixtures() {
     let wave = section_v_wave(TxImpairments::typical(), 12288);
     let scan = paper_scan_engine(12288);
     for guard in [0.0, 3.0, 6.0] {
-        let (report, stopped) =
-            stream_chunks(&scan, &wave, 256, Some(EarlyVerdict::with_guard(guard)));
+        let (report, stopped) = stream_chunks(
+            &scan,
+            &wave,
+            256,
+            Some(EarlyVerdict::try_with_guard(guard).unwrap()),
+        );
         assert!(!stopped, "guard {guard} dB fired on a passing unit");
         assert!(report.passed);
-        assert_eq!(report, scan.scan(&wave), "full verdict must be unchanged");
+        assert_eq!(
+            report,
+            scan.try_scan(&wave).unwrap(),
+            "full verdict must be unchanged"
+        );
     }
 }
 
@@ -128,7 +147,7 @@ fn early_exit_stops_gross_failures_and_keeps_marginal_units_complete() {
         12288,
     );
     let scan = paper_scan_engine(12288);
-    let batched = scan.scan(&gross);
+    let batched = scan.try_scan(&gross).unwrap();
     assert!(
         batched.worst_margin_db < -10.0,
         "fixture must be a gross failure: {}",
@@ -149,7 +168,7 @@ fn early_exit_stops_gross_failures_and_keeps_marginal_units_complete() {
         fed, 8192,
         "verdict decided at the first completed Welch segment"
     );
-    let partial = stream.finish();
+    let partial = stream.try_finish().unwrap();
     assert!(!partial.passed);
     // the partial report carries the full violation machinery
     assert_eq!(partial.violation_count > partial.violations.len(), {
@@ -166,8 +185,12 @@ fn engine_streamed_path_matches_fft_welch_reference_end_to_end() {
     let streamed = BistEngine::new(BistConfig::paper_default());
     let batch =
         BistEngine::new(BistConfig::paper_default().with_scan_strategy(ScanStrategy::FftWelch));
-    let a = streamed.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
-    let b = batch.run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()));
+    let a = streamed
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
+    let b = batch
+        .try_run(&tx.rf_output(), &paper_mask(), Some(&tx.ideal_rf_output()))
+        .unwrap();
     assert_eq!(a.reconstruction_error, b.reconstruction_error);
     assert!(!a.early_exit && !b.early_exit);
     assert_eq!(a.mask.passed, b.mask.passed);
@@ -206,14 +229,14 @@ proptest! {
         let fc = 100e6;
         let seg = 1usize << seg_exp;
         let overlap = seg * overlap_num / 8;
-        let mask = SpectralMask::new(
+        let mask = SpectralMask::try_new(
             "prop",
             20e6,
             vec![MaskSegment { offset_lo: 30e6, offset_hi: 80e6, limit_dbc: -30.0 }],
-        );
-        let scan = MaskScanEngine::new(&mask, fc, fs, seg, overlap, Window::BlackmanHarris);
+        ).unwrap();
+        let scan = MaskScanEngine::try_build(&mask, fc, fs, seg, overlap, Window::BlackmanHarris, None).unwrap();
         let wave = spur_wave(3 * seg + tail, fs, fc, 50e6, spur_db);
-        let batched = scan.scan(&wave);
+        let batched = scan.try_scan(&wave).unwrap();
         let (streamed, _) = stream_chunks(&scan, &wave, block, None);
         prop_assert_eq!(streamed, batched);
     }

@@ -24,14 +24,16 @@ fn section_v_wave(imp: TxImpairments, n: usize) -> Vec<f64> {
 
 fn paper_scan_engine(n: usize) -> MaskScanEngine {
     let (seg, overlap) = welch_segmentation(n);
-    MaskScanEngine::new(
+    MaskScanEngine::try_build(
         &paper_mask(),
         PAPER_CARRIER,
         4e9,
         seg,
         overlap,
         Window::BlackmanHarris,
+        None,
     )
+    .unwrap()
 }
 
 /// Encodes the wave as `SampleBlock` frames of `block` samples, then
@@ -83,7 +85,7 @@ fn wire_verdict_is_bit_identical_to_the_batched_scan() {
     );
     let scan = paper_scan_engine(12288);
     for wave in [&healthy, &faulty] {
-        let batched = scan.scan(wave);
+        let batched = scan.try_scan(wave).unwrap();
         // sample-block sizes off every alignment × transport chunkings
         // down to single bytes: framing must be invisible to the verdict
         for (block, chunk) in [(GRID_BLOCK_LEN, 4096), (1000, 1), (12288, 7), (13, 64)] {
@@ -97,7 +99,7 @@ fn wire_verdict_is_bit_identical_to_the_batched_scan() {
 fn partial_reports_stream_back_mid_capture() {
     let wave = section_v_wave(TxImpairments::typical(), 12288);
     let scan = paper_scan_engine(12288);
-    let batched = scan.scan(&wave);
+    let batched = scan.try_scan(&wave).unwrap();
     let job_id = 9;
     let mut scratch = StreamScratch::new();
     let mut session = WireVerdictSession::new(job_id, scan.stream(&mut scratch, None));
@@ -225,7 +227,9 @@ fn protocol_violations_are_typed_wire_errors() {
         },
         WireFrame::FinalReport {
             job_id: 5,
-            report: scan.scan(&section_v_wave(TxImpairments::typical(), 12288)),
+            report: scan
+                .try_scan(&section_v_wave(TxImpairments::typical(), 12288))
+                .unwrap(),
         },
     ] {
         let err = session.try_handle(&frame).expect_err("outbound type");
