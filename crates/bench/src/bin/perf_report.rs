@@ -8,8 +8,8 @@
 //! cargo run --release -p rfbist-bench --bin perf_report -- --out some.json
 //! ```
 //!
-//! Three kernels, mirroring the criterion benches but with medians a
-//! machine can diff across commits:
+//! Seven sections, each timed as medians a machine can diff across
+//! commits; this is the workspace's only kernel-level perf harness:
 //!
 //! 1. **kernel_eval** — Kohlenberg `s(t)` over a 61-tap row:
 //!    `KohlenbergInterpolant::eval` per tap vs `PnbsPlan::kernel_row`.

@@ -890,29 +890,45 @@ fn load_checkpoint(
                     expected_ids[slot]
                 )));
             }
-            let ffield = |k: &str| {
-                f.get(k)
-                    .and_then(minijson::Value::as_f64)
-                    .ok_or_else(|| err(format!("cell {i} fault {slot} is missing `{k}`")))
-            };
+            let at = format!("cell {i} fault {slot}");
             cell_faults.push(CellFault {
                 id: id.to_string(),
-                runs: ffield("runs")? as usize,
-                verdict_detected: ffield("verdict_detected")? as usize,
-                detected: ffield("detected")? as usize,
+                runs: checkpoint_count(f, &at, "runs")?,
+                verdict_detected: checkpoint_count(f, &at, "verdict_detected")?,
+                detected: checkpoint_count(f, &at, "detected")?,
             });
         }
+        let at = format!("cell {i}");
         records.push(CellRecord {
             standard: standard.to_string(),
             jitter_rms,
-            healthy_runs: field("healthy_runs")? as usize,
-            false_alarms: field("false_alarms")? as usize,
-            errored_runs: field("errored_runs")? as usize,
+            healthy_runs: checkpoint_count(cell, &at, "healthy_runs")?,
+            false_alarms: checkpoint_count(cell, &at, "false_alarms")?,
+            errored_runs: checkpoint_count(cell, &at, "errored_runs")?,
             worst_skew_error: field("worst_skew_error")?,
             faults: cell_faults,
         });
     }
     Ok(records)
+}
+
+/// Reads the tally `k` of the checkpoint record `at`. A checkpoint is
+/// outside input, so a negative, fractional, non-finite or oversized
+/// count is refused, not cast. Counts stop at 2^53, the last integer
+/// an f64 holds exactly.
+fn checkpoint_count(obj: &minijson::Value, at: &str, k: &str) -> Result<usize, BistError> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    let err = |reason: String| BistError::Checkpoint { reason };
+    let v = obj
+        .get(k)
+        .and_then(minijson::Value::as_f64)
+        .ok_or_else(|| err(format!("{at} is missing numeric field `{k}`")))?;
+    if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT) {
+        return Err(err(format!(
+            "{at} field `{k}` is {v}, not a count (a non-negative integer ≤ 2^53)"
+        )));
+    }
+    Ok(v as usize)
 }
 
 /// Runs the campaign and returns the coverage matrix, or a typed
@@ -1515,6 +1531,33 @@ mod tests {
                 if reason.contains("different campaign configuration")),
             "{err:?}"
         );
+        // corrupt tallies are refused, naming the cell and field
+        let doc = checkpoint_json(&fp, &records);
+        for (from, to, at) in [
+            (
+                "\"healthy_runs\": 1",
+                "\"healthy_runs\": -1",
+                "cell 0 field `healthy_runs`",
+            ),
+            (
+                "\"false_alarms\": 0",
+                "\"false_alarms\": 1e400",
+                "cell 0 field `false_alarms`",
+            ),
+            (
+                "\"runs\": 1",
+                "\"runs\": 2.5",
+                "cell 0 fault 0 field `runs`",
+            ),
+        ] {
+            assert!(doc.contains(from), "{from}");
+            std::fs::write(&path, doc.replacen(from, to, 1)).expect("corrupt count");
+            let err = load_checkpoint(&path, &fp, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, BistError::Checkpoint { reason } if reason.contains(at)),
+                "{to}: {err:?}"
+            );
+        }
         // corruption is a typed error, not a panic
         std::fs::write(&path, "{\"schema\": \"wrong\"").expect("corrupt");
         assert!(matches!(

@@ -88,14 +88,6 @@ pub enum BistError {
         /// Parse/validation detail.
         reason: String,
     },
-    /// A length-prefixed wire frame could not be decoded: truncated
-    /// body, unknown frame type, oversized length prefix, or a payload
-    /// that fails its own invariants. Malformed bytes from a transport
-    /// must surface here — never as a panic.
-    Wire {
-        /// What is wrong with the frame.
-        reason: String,
-    },
     /// The campaign observer requested a stop; the checkpoint (if any)
     /// holds every completed cell.
     Interrupted {
@@ -165,7 +157,6 @@ impl fmt::Display for BistError {
             BistError::Checkpoint { reason } => {
                 write!(f, "campaign checkpoint error: {reason}")
             }
-            BistError::Wire { reason } => write!(f, "wire format error: {reason}"),
             BistError::Interrupted {
                 completed_cells,
                 total_cells,
@@ -231,16 +222,6 @@ mod tests {
                 detail: "stream producer worker 2 panicked: boom".into()
             }
         );
-    }
-
-    #[test]
-    fn wire_errors_are_typed_and_not_transient() {
-        let e = BistError::Wire {
-            reason: "frame length 9000000 exceeds limit".into(),
-        };
-        assert!(e.to_string().starts_with("wire format error: "));
-        assert!(e.to_string().contains("9000000"));
-        assert!(!e.is_transient());
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! - [`report`]: serializable result records,
 //! - [`service`]: the persistent-worker verdict service (shards
 //!   (standard × carrier × DUT) jobs across long-lived workers with
-//!   bounded-queue backpressure),
-//! - [`wire`]: the length-prefixed wire format for feeding sample
-//!   blocks to a verdict worker and draining partial reports.
+//!   bounded-queue backpressure).
 //!
 //! # Example: estimating a 180 ps skew
 //!
@@ -72,7 +70,6 @@ pub mod report;
 pub mod scan;
 pub mod service;
 pub mod skew;
-pub mod wire;
 
 pub use bist::{
     BistConfig, BistEngine, BistScratch, NoiseFigureConfig, ScanStrategy, SkewGate, StreamRecovery,
@@ -88,4 +85,3 @@ pub use lms::{estimate_skew_lms, LmsConfig, LmsResult};
 pub use mask::{MaskLibrary, MaskReport, MaskStandard, SpectralMask};
 pub use scan::{EarlyVerdict, MaskScanEngine, StreamScratch, StreamingMaskScan};
 pub use service::{DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService};
-pub use wire::{FrameDecoder, WireFrame, WireVerdictSession};

@@ -486,12 +486,6 @@ impl StreamingMaskScan<'_> {
         ScanFeed::Continue
     }
 
-    /// Samples pushed so far (including any ignored after an early
-    /// stop).
-    pub fn samples_pushed(&self) -> usize {
-        self.pushed
-    }
-
     /// Welch segments folded into the verdict so far.
     pub fn segments_completed(&self) -> usize {
         self.segments
@@ -512,18 +506,6 @@ impl StreamingMaskScan<'_> {
                     .noise_density_from_acc(&self.scratch.acc, self.segments)
             })
             .flatten()
-    }
-
-    /// The provisional verdict over the segments completed so far, or
-    /// `None` before the first segment completes. Mid-capture reports
-    /// carry the full violation machinery of a final report — including
-    /// the truncation flag, so a partial report cannot silently drop
-    /// violations.
-    pub fn partial_report(&self) -> Option<MaskReport> {
-        (self.segments > 0).then(|| {
-            self.engine
-                .report_from_acc(&self.scratch.acc, self.segments)
-        })
     }
 
     /// Final verdict over every completed segment (a trailing partial
@@ -704,20 +686,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_progress_and_partial_reports() {
+    fn streaming_progress_and_final_report() {
         let (scan, _) = engines();
         let wave = spur_wave(12288, 15e6, -70.0);
         let mut scratch = StreamScratch::new();
         let mut stream = scan.stream(&mut scratch, None);
-        assert!(stream.partial_report().is_none(), "no segment complete yet");
         stream.push(&wave[..4000]);
         assert_eq!(stream.segments_completed(), 0);
         stream.push(&wave[4000..5000]);
         assert_eq!(stream.segments_completed(), 1, "first 4096-segment done");
-        let partial = stream.partial_report().expect("one segment complete");
-        assert!(partial.passed);
         stream.push(&wave[5000..]);
-        assert_eq!(stream.samples_pushed(), 12288);
         // 12288 samples, seg 4096, hop 2048 ⇒ 5 complete segments
         assert_eq!(stream.segments_completed(), 5);
         assert!(!stream.early_stopped());

@@ -20,8 +20,8 @@
 //! survives every panic (the worker catches the unwind and moves to
 //! the next job).
 //!
-//! The byte-level companion is [`wire`](crate::wire): sample blocks
-//! and partial reports cross a transport as length-prefixed frames.
+//! The service is in-process: jobs and outcomes cross threads over
+//! channels, and no byte-level transport is provided.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};

@@ -5,8 +5,6 @@
 //!
 //! - [`window`]: window functions (rectangular through Kaiser),
 //! - [`fir`]: windowed-sinc FIR design and filtering,
-//! - [`iir`]: biquad sections and Butterworth designs (behavioral analog
-//!   filter models),
 //! - [`srrc`]: raised-cosine and square-root raised-cosine pulses,
 //! - [`psd`]: periodogram and Welch power-spectral-density estimation,
 //! - [`specmetrics`]: single-tone converter metrics (SNR, SINAD, SFDR,
@@ -32,7 +30,6 @@
 pub mod evm;
 pub mod fir;
 pub mod goertzel;
-pub mod iir;
 pub mod psd;
 pub mod resample;
 pub mod simd;

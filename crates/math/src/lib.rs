@@ -7,11 +7,9 @@
 //! - [`fft`]: radix-2 and Bluestein FFTs (any length), plus helpers,
 //! - [`special`]: special functions (modified Bessel `I0`, `erf`, `sinc`),
 //! - [`linalg`]: small dense matrices, linear solves, least squares,
-//! - [`poly`]: polynomial evaluation and fitting,
 //! - [`stats`]: descriptive statistics used by measurement code,
 //! - [`interp`]: pointwise interpolation kernels,
 //! - [`rotor`]: incremental phase rotation (`sincos`, [`rotor::PhaseRotor`]),
-//! - [`units`]: newtypes for frequencies, times and decibel quantities,
 //! - [`rng`]: deterministic Gaussian/uniform sampling helpers.
 //!
 //! The workspace deliberately avoids external numeric crates so the entire
@@ -36,12 +34,9 @@ pub mod complex;
 pub mod fft;
 pub mod interp;
 pub mod linalg;
-pub mod poly;
 pub mod rng;
 pub mod rotor;
 pub mod special;
 pub mod stats;
-pub mod units;
 
 pub use complex::Complex64;
-pub use units::{Db, Hertz, Seconds};

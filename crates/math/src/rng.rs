@@ -10,7 +10,8 @@ use rand::{Rng, SeedableRng};
 /// A seedable source of the random variates used across the workspace.
 ///
 /// All experiment harnesses construct this from an explicit seed so every
-/// table/figure in `EXPERIMENTS.md` is exactly reproducible.
+/// table/figure the README's experiment binaries print is exactly
+/// reproducible.
 ///
 /// # Example
 ///

@@ -16,7 +16,6 @@
 //!   the search bound `m`,
 //! - [`error`]: reconstruction-sensitivity bounds (eq. 4) and skew
 //!   budgets (eq. 5),
-//! - [`uniform`]: first-order bandpass reconstruction baseline,
 //! - [`fixedpoint`]: fixed-point tap quantization (hardware-mapping
 //!   ablation).
 //!
@@ -45,7 +44,6 @@ pub mod kohlenberg;
 pub mod pbs;
 pub mod plan;
 pub mod reconstruct;
-pub mod uniform;
 
 pub use band::BandSpec;
 pub use gridplan::{GridScratch, PnbsGridPlan, StreamWorkerPanic};

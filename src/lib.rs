@@ -3,8 +3,8 @@
 //! A full reproduction of *"A flexible BIST strategy for SDR
 //! transmitters"* (Dogaru, Vinci dos Santos, Rebernak — DATE 2014) as a
 //! production-quality Rust workspace. This facade crate re-exports the
-//! sub-crates; see the README for the architecture overview and
-//! `DESIGN.md`/`EXPERIMENTS.md` for the experiment index.
+//! sub-crates; see the README for the architecture overview and its
+//! "Experiment binaries" section for the experiment index.
 //!
 //! ## Layer map
 //!
@@ -69,7 +69,6 @@ pub mod prelude {
     pub use rfbist_core::service::{
         try_campaign_jobs, DutSpec, ServiceConfig, VerdictJob, VerdictOutcome, VerdictService,
     };
-    pub use rfbist_core::wire::{FrameDecoder, WireFrame, WireVerdictSession};
     pub use rfbist_rfchain::faults::{gross_fault_set, standard_fault_set, Fault, FaultKind};
     pub use rfbist_rfchain::impairments::TxImpairments;
     pub use rfbist_rfchain::iqmod::IqImbalance;

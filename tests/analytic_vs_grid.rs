@@ -1,4 +1,4 @@
-//! Cross-validation of the two modeling styles (DESIGN.md ablation 1):
+//! Cross-validation of the two modeling styles:
 //! the analytic continuous-time signal models must agree with a dense
 //! oversampled-grid simulation interpolated back to arbitrary instants.
 

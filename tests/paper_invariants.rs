@@ -1,5 +1,6 @@
 //! Paper-derived numeric invariants and property-based tests on the
-//! sampling core — the cross-checks DESIGN.md §4 lists.
+//! sampling core: the paper's worked numbers (eqs. 3–5, Section V)
+//! and the sampling identities the reconstruction relies on.
 
 use proptest::prelude::*;
 use rfbist::math::rng::Randomizer;

@@ -71,7 +71,7 @@ fn streamed_verdicts_match_batched_scan_on_section_v_fixtures() {
         // the engine's reconstruction-block size, segment-size and
         // off-boundary chunkings must all agree bit for bit (a far
         // stronger pin than the ≤ 1e-9 contract)
-        for chunk in [GRID_BLOCK_LEN, 4096, 12288, 1000, 13] {
+        for chunk in [GRID_BLOCK_LEN, 4096, 8192, 12288, 1000, 13] {
             let (streamed, stopped) = stream_chunks(&scan, wave, chunk, None);
             assert!(!stopped);
             assert_eq!(streamed, batched, "chunk {chunk}");
