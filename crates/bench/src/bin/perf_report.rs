@@ -8,7 +8,7 @@
 //! cargo run --release -p rfbist-bench --bin perf_report -- --out some.json
 //! ```
 //!
-//! Seven sections, each timed as medians a machine can diff across
+//! Eight sections, each timed as medians a machine can diff across
 //! commits; this is the workspace's only kernel-level perf harness:
 //!
 //! 1. **kernel_eval** — Kohlenberg `s(t)` over a 61-tap row:
@@ -65,21 +65,34 @@
 //!    clone and channel overhead must stay a small fraction of a
 //!    verdict); the `scaling_2w` > 1.3× gate is asserted only where
 //!    ≥ 2 cores exist to express it.
+//! 8. **stimulus_eval** — one evaluation of the paper stimulus at the
+//!    PA output, the work behind every golden Δε point and every
+//!    captured sample: `ideal_rf_output().eval` and `rf_output().eval`
+//!    (tabulated SRRC phasors, modulator weights fixed per unit) vs
+//!    the per-tap oracle `Σ sₖ·g(tn − k)` plus a per-call
+//!    `TxImpairments::apply`. The ratio of one golden point plus one
+//!    captured sample is asserted ≥ 3× (full) / ≥ 2.5× (quick) at
+//!    ≤ 1e-10 absolute difference. Both sides are scalar libm code, so
+//!    the floor holds on any CPU.
 
-use rfbist_bench::{paper_cost, paper_stimulus, par, Frontend};
+use rfbist_bench::{paper_cost, paper_stimulus, paper_tx, par, Frontend};
 use rfbist_core::bist::welch_segmentation;
 use rfbist_core::mask::SpectralMask;
 use rfbist_core::scan::{EarlyVerdict, MaskScanEngine, ScanFeed, StreamScratch};
 use rfbist_dsp::psd::welch;
 use rfbist_dsp::window::Window;
 use rfbist_math::stats::nrmse;
+use rfbist_math::Complex64;
+use rfbist_rfchain::impairments::TxImpairments;
 use rfbist_sampling::band::BandSpec;
 use rfbist_sampling::gridplan::GridScratch;
 use rfbist_sampling::kohlenberg::KohlenbergInterpolant;
 use rfbist_sampling::plan::{PnbsPlan, PnbsScratch};
 use rfbist_sampling::reconstruct::{NonuniformCapture, PnbsReconstructor};
+use rfbist_signal::bandpass::BandpassSignal;
+use rfbist_signal::baseband::ShapedBaseband;
 use rfbist_signal::tone::{MultiTone, Tone};
-use rfbist_signal::traits::ContinuousSignal;
+use rfbist_signal::traits::{ComplexEnvelope, ContinuousSignal, FnEnvelope};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -622,6 +635,88 @@ fn bench_service(cfg: &Config) -> ServiceResult {
     }
 }
 
+struct StimulusEvalResult {
+    points: usize,
+    ideal_table_ns: f64,
+    ideal_per_tap_ns: f64,
+    rf_table_ns: f64,
+    rf_per_tap_ns: f64,
+    max_abs_delta: f64,
+}
+
+impl StimulusEvalResult {
+    /// The asserted ratio: the cost of one golden-reference point plus
+    /// one captured sample, per-tap over table-driven.
+    fn speedup(&self) -> f64 {
+        (self.ideal_per_tap_ns + self.rf_per_tap_ns) / (self.ideal_table_ns + self.rf_table_ns)
+    }
+}
+
+/// `Σₖ sₖ·g(tn − k)`: one pulse evaluation per tap in reach.
+fn per_tap_envelope(bb: &ShapedBaseband, t: f64) -> Complex64 {
+    let tn = t / bb.symbol_period();
+    let pulse = bb.pulse();
+    let reach = pulse.span() as f64 + 1.0;
+    let first = (tn - reach).floor().max(0.0) as usize;
+    let last = (tn + reach).ceil().min(bb.symbols().len() as f64 - 1.0);
+    let mut acc = Complex64::ZERO;
+    if last >= 0.0 {
+        for k in first..=last as usize {
+            acc += bb.symbols()[k] * pulse.eval(tn - k as f64);
+        }
+    }
+    acc
+}
+
+fn bench_stimulus_eval(cfg: &Config) -> StimulusEvalResult {
+    let imp = TxImpairments::typical();
+    let tx = paper_tx(imp, 160, 0xACE1);
+    let bb = tx.baseband();
+    let (t0, t1) = tx.steady_time_range();
+    let points = if cfg.quick { 4096 } else { 12288 };
+    let times: Vec<f64> = (0..points)
+        .map(|i| t0 + (t1 - t0) * i as f64 / points as f64)
+        .collect();
+    // both sides share BandpassSignal's carrier, so the ratio isolates
+    // the envelope and the modulator
+    let ideal = tx.ideal_rf_output();
+    let rf = tx.rf_output();
+    let ideal_oracle = BandpassSignal::new(FnEnvelope(|t| per_tap_envelope(bb, t)), FC);
+    let rf_oracle = BandpassSignal::new(FnEnvelope(|t| imp.apply(per_tap_envelope(bb, t))), FC);
+
+    let time = |signal: &dyn ContinuousSignal| {
+        median_ns_per_op(cfg.reps, points, || {
+            for &t in &times {
+                black_box(signal.eval(black_box(t)));
+            }
+        })
+    };
+    let ideal_table_ns = time(&ideal);
+    let ideal_per_tap_ns = time(&ideal_oracle);
+    let rf_table_ns = time(&rf);
+    let rf_per_tap_ns = time(&rf_oracle);
+    // compared on the envelopes, where no carrier phase can hide a
+    // discrepancy
+    let max_abs_delta = times
+        .iter()
+        .flat_map(|&t| {
+            let oracle = per_tap_envelope(bb, t);
+            [
+                (ideal.envelope().eval_iq(t) - oracle).abs(),
+                (rf.envelope().eval_iq(t) - imp.apply(oracle)).abs(),
+            ]
+        })
+        .fold(0.0, f64::max);
+    StimulusEvalResult {
+        points,
+        ideal_table_ns,
+        ideal_per_tap_ns,
+        rf_table_ns,
+        rf_per_tap_ns,
+        max_abs_delta,
+    }
+}
+
 fn main() {
     let mut cfg = Config {
         quick: false,
@@ -744,6 +839,22 @@ fn main() {
         );
     }
 
+    let stimulus = bench_stimulus_eval(&cfg);
+    println!(
+        "stimulus_eval      {:>10.1} ns/eval per-tap     {:>10.1} ns/eval table     ({:.2}x ideal, {} points)",
+        stimulus.ideal_per_tap_ns,
+        stimulus.ideal_table_ns,
+        stimulus.ideal_per_tap_ns / stimulus.ideal_table_ns,
+        stimulus.points,
+    );
+    println!(
+        "stimulus_eval rf   {:>10.1} ns/eval per-tap     {:>10.1} ns/eval table     ({:.2}x at the PA output, max delta {:.3e})",
+        stimulus.rf_per_tap_ns,
+        stimulus.rf_table_ns,
+        stimulus.rf_per_tap_ns / stimulus.rf_table_ns,
+        stimulus.max_abs_delta,
+    );
+
     let saturation_json = service
         .saturation
         .iter()
@@ -822,6 +933,15 @@ fn main() {
     "saturation": [
 {saturation_json}
     ]
+  }},
+  "stimulus_eval": {{
+    "points": {stim_points},
+    "ideal_per_tap_median_ns_per_eval": {stim_ideal_ref:.2},
+    "ideal_table_median_ns_per_eval": {stim_ideal:.2},
+    "rf_per_tap_median_ns_per_eval": {stim_rf_ref:.2},
+    "rf_table_median_ns_per_eval": {stim_rf:.2},
+    "speedup": {stim_speedup:.3},
+    "max_abs_delta": {stim_delta:.3e}
   }}
 }}
 "#,
@@ -871,6 +991,13 @@ fn main() {
         svc_vps = 1e9 / service_1w_ns,
         svc_overhead = service.direct_ns / service_1w_ns,
         svc_scaling = service_1w_ns / service.saturation[1].1,
+        stim_points = stimulus.points,
+        stim_ideal_ref = stimulus.ideal_per_tap_ns,
+        stim_ideal = stimulus.ideal_table_ns,
+        stim_rf_ref = stimulus.rf_per_tap_ns,
+        stim_rf = stimulus.rf_table_ns,
+        stim_speedup = stimulus.speedup(),
+        stim_delta = stimulus.max_abs_delta,
     );
     std::fs::write(&cfg.out, json).expect("write bench report");
     println!("wrote {}", cfg.out);
@@ -1060,6 +1187,23 @@ fn main() {
              (measured {scaling_2w:.2}x)"
         );
     }
+    // Stimulus contracts. The table-driven envelope is the per-tap sum
+    // rearranged by angle addition, so it must agree to rounding. The
+    // floor sits under the ~4-5x a quiet machine measures: a lost table
+    // (back to one sin, cos and division per tap) or per-sample
+    // modulator weights collapse it toward 1x. Neither side uses SIMD
+    // or threads, so the floor is asserted everywhere.
+    assert!(
+        stimulus.max_abs_delta <= 1e-10,
+        "table-driven stimulus diverged from the per-tap oracle: {:.3e}",
+        stimulus.max_abs_delta
+    );
+    let stim_floor = if cfg.quick { 2.5 } else { 3.0 };
+    assert!(
+        stimulus.speedup() >= stim_floor,
+        "stimulus evaluation speedup below the {stim_floor}x floor: {:.2}x",
+        stimulus.speedup()
+    );
 }
 
 /// Whether the runtime-dispatched AVX2+FMA kernels — the banked

@@ -399,41 +399,41 @@ fn scan_engine_cached<'a>(
     overlap: usize,
     noise_band: Option<(f64, f64)>,
 ) -> Result<&'a MaskScanEngine, BistError> {
-    let stale = !matches!(
-        cache,
+    let entry = match cache.take() {
         Some(e)
             if e.mask == *mask
                 && e.carrier_hz == carrier_hz
                 && e.fs == fs
                 && e.segment_len == segment_len
                 && e.overlap == overlap
-                && e.noise_band == noise_band
-    );
-    if stale {
-        *cache = None; // a failed rebuild must not leave a stale hit
-        let engine = MaskScanEngine::try_build(
-            mask,
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            Window::BlackmanHarris,
-            noise_band,
-        )?;
-        *cache = Some(ScanCacheEntry {
-            mask: mask.clone(),
-            carrier_hz,
-            fs,
-            segment_len,
-            overlap,
-            noise_band,
-            engine,
-        });
-    }
-    match cache.as_ref() {
-        Some(e) => Ok(&e.engine),
-        None => unreachable!("cache filled above"),
-    }
+                && e.noise_band == noise_band =>
+        {
+            e
+        }
+        stale => {
+            // freed before the rebuild, and taken out of the cache above,
+            // so a failed rebuild leaves no stale hit behind
+            drop(stale);
+            ScanCacheEntry {
+                mask: mask.clone(),
+                carrier_hz,
+                fs,
+                segment_len,
+                overlap,
+                noise_band,
+                engine: MaskScanEngine::try_build(
+                    mask,
+                    carrier_hz,
+                    fs,
+                    segment_len,
+                    overlap,
+                    Window::BlackmanHarris,
+                    noise_band,
+                )?,
+            }
+        }
+    };
+    Ok(&cache.insert(entry).engine)
 }
 
 /// The BIST engine.

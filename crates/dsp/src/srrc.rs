@@ -9,8 +9,13 @@
 //! Time is normalized to the symbol period: `t_norm = t / Ts`. The pulses
 //! are normalized so `rc(0) = 1` and `srrc ⊛ srrc = rc` (unit-symbol
 //! convention; energy scaling is the caller's concern).
+//!
+//! [`SrrcTable`] evaluates a pulse-shaped symbol stream the way a
+//! modulator's datapath does: tap coefficients fixed once, then per
+//! instant only two `sin_cos` and a multiply-accumulate per tap.
 
 use rfbist_math::special::sinc;
+use rfbist_math::Complex64;
 use std::f64::consts::PI;
 
 /// Raised-cosine pulse value at normalized time `t` (in symbol periods)
@@ -26,12 +31,20 @@ pub fn rc_pulse(t: f64, alpha: f64) -> f64 {
     if alpha == 0.0 {
         return sinc(t);
     }
+    let half = 1.0 / (2.0 * alpha);
+    let d = t.abs() - half;
+    if d.abs() < LIMIT_WINDOW {
+        // limit at t = ±1/(2α)
+        let limit = (PI / 4.0) * sinc(half);
+        return through_limit(d, limit, |x| rc_closed_form(half + x, alpha));
+    }
+    rc_closed_form(t, alpha)
+}
+
+/// The RC closed form, `0/0` at `t = ±1/(2α)`.
+fn rc_closed_form(t: f64, alpha: f64) -> f64 {
     let denom_arg = 2.0 * alpha * t;
     let denom = 1.0 - denom_arg * denom_arg;
-    if denom.abs() < 1e-10 {
-        // limit at t = ±1/(2α)
-        return (PI / 4.0) * sinc(1.0 / (2.0 * alpha));
-    }
     sinc(t) * (PI * alpha * t).cos() / denom
 }
 
@@ -53,14 +66,121 @@ pub fn srrc_pulse(t: f64, alpha: f64) -> f64 {
         return 1.0 - alpha + 4.0 * alpha / PI;
     }
     let quarter = 1.0 / (4.0 * alpha);
-    if (t.abs() - quarter).abs() < 1e-10 {
+    let d = t.abs() - quarter;
+    if d.abs() < LIMIT_WINDOW {
         // limit at t = ±1/(4α)
         let a = PI / (4.0 * alpha);
-        return (alpha / 2f64.sqrt()) * ((1.0 + 2.0 / PI) * a.sin() + (1.0 - 2.0 / PI) * a.cos());
+        let limit =
+            (alpha / 2f64.sqrt()) * ((1.0 + 2.0 / PI) * a.sin() + (1.0 - 2.0 / PI) * a.cos());
+        return through_limit(d, limit, |x| srrc_closed_form(quarter + x, alpha));
     }
+    srrc_closed_form(t, alpha)
+}
+
+/// The SRRC closed form, `0/0` at `t = 0` and `t = ±1/(4α)`.
+fn srrc_closed_form(t: f64, alpha: f64) -> f64 {
     let four_at = 4.0 * alpha * t;
     ((PI * t * (1.0 - alpha)).sin() + four_at * (PI * t * (1.0 + alpha)).cos())
         / (PI * t * (1.0 - four_at * four_at))
+}
+
+/// Half-width (in symbol periods) of the window about a removable
+/// singularity inside which the pulses leave their closed form.
+///
+/// At distance `d` from the singular point the closed form divides two
+/// quantities of size `~d` that carry `~1e-16` of rounding, so it is
+/// only good to `~1e-16/d`: 1e-12 at the window edge, but 1e-6 at
+/// `d = 1e-10`. Inside the window a quadratic through the exact limit
+/// takes over; its truncation error is `~|g'''|·d³`, below 1e-12.
+const LIMIT_WINDOW: f64 = 1e-4;
+
+/// A pulse at distance `d` (`|d| < LIMIT_WINDOW`) from a removable
+/// singularity: the quadratic through the exact `limit` at `d = 0` and
+/// the closed form `closed(±LIMIT_WINDOW)` at the window edges, where
+/// the closed form is still accurate.
+fn through_limit(d: f64, limit: f64, closed: impl Fn(f64) -> f64) -> f64 {
+    let h = LIMIT_WINDOW;
+    let (below, above) = (closed(-h), closed(h));
+    let slope = (above - below) / (2.0 * h);
+    let curvature = (above + below - 2.0 * limit) / (2.0 * h * h);
+    limit + d * (slope + d * curvature)
+}
+
+/// A symbol stream shaped by the SRRC pulse, evaluated from phasors
+/// tabulated per integer tap offset.
+///
+/// The closed form `g(x) = [sin(Ax) + 4αx·cos(Bx)] / [πx(1 − (4αx)²)]`,
+/// `A = π(1−α)`, `B = π(1+α)`, splits for `x = m + u` into a row of
+/// `[cos Am, sin Am, cos Bm, sin Bm]` per integer `m` and two `sin_cos`
+/// of the fractional phase `u` every tap shares. Angle addition is
+/// exact up to rounding, and the closed form's division stays. A tap
+/// within [`LIMIT_WINDOW`] of a zero of the denominator (`x = 0`,
+/// `|x| = 1/(4α)`) goes to [`srrc_pulse`] instead: there the division
+/// would amplify the numerator's rounding by `1/d`.
+#[derive(Clone, Debug)]
+pub struct SrrcTable {
+    alpha: f64,
+    span: isize,
+    /// Row `m + span` holds `[cos Am, sin Am, cos Bm, sin Bm]` for
+    /// `m ∈ −span..=span`.
+    rows: Vec<[f64; 4]>,
+}
+
+impl SrrcTable {
+    /// The table of the SRRC pulse with roll-off `alpha`, truncated to
+    /// `|x| ≤ span` symbol periods; `None` unless `alpha ∈ (0, 1]`.
+    pub fn new(alpha: f64, span: usize) -> Option<Self> {
+        if !(alpha > 0.0 && alpha <= 1.0) {
+            return None;
+        }
+        let span = span as isize;
+        let rows = (-span..=span)
+            .map(|m| {
+                let (sa, ca) = (PI * m as f64 * (1.0 - alpha)).sin_cos();
+                let (sb, cb) = (PI * m as f64 * (1.0 + alpha)).sin_cos();
+                [ca, sa, cb, sb]
+            })
+            .collect();
+        Some(SrrcTable { alpha, span, rows })
+    }
+
+    /// `Σₖ symbols[k]·g(tn − k)` over the symbols with `|tn − k| ≤ span`,
+    /// `tn` in symbol periods from symbol 0.
+    pub fn eval(&self, symbols: &[Complex64], tn: f64) -> Complex64 {
+        let alpha = self.alpha;
+        let span = self.span;
+        let quarter = 1.0 / (4.0 * alpha);
+        let center = tn.floor() as isize;
+        // |tn − k| ≤ span, clipped to the burst
+        let lo = (tn - span as f64).ceil().max(0.0) as isize;
+        let hi = center.saturating_add(span).min(symbols.len() as isize - 1);
+        if lo > hi {
+            return Complex64::ZERO;
+        }
+        let u = tn - center as f64;
+        let (sin_au, cos_au) = (PI * u * (1.0 - alpha)).sin_cos();
+        let (sin_bu, cos_bu) = (PI * u * (1.0 + alpha)).sin_cos();
+        // row of m = center − k: descending as k ascends
+        let rows = &self.rows[(center - hi + span) as usize..=(center - lo + span) as usize];
+        let mut acc = Complex64::ZERO;
+        let taps = symbols[lo as usize..=hi as usize]
+            .iter()
+            .zip(rows.iter().rev());
+        for (k, (&s, &[cos_am, sin_am, cos_bm, sin_bm])) in (lo..).zip(taps) {
+            let x = tn - k as f64;
+            let ax = x.abs();
+            let g = if ax < LIMIT_WINDOW || (ax - quarter).abs() < LIMIT_WINDOW {
+                srrc_pulse(x, alpha)
+            } else {
+                let sin_ax = sin_am * cos_au + cos_am * sin_au;
+                let cos_bx = cos_bm * cos_bu - sin_bm * sin_bu;
+                let four_ax = 4.0 * alpha * x;
+                (sin_ax + four_ax * cos_bx) / (PI * x * (1.0 - four_ax * four_ax))
+            };
+            acc += s * g;
+        }
+        acc
+    }
 }
 
 /// Discrete SRRC filter taps spanning `±span` symbols at `sps` samples per
@@ -140,6 +260,53 @@ mod tests {
         let v = srrc_pulse(t0, alpha);
         let v_eps = srrc_pulse(t0 + 1e-7, alpha);
         assert!((v - v_eps).abs() < 1e-5, "{v} vs {v_eps}");
+    }
+
+    /// Every roll-off a builtin standard or fixture uses.
+    const BUILTIN_ROLLOFFS: [f64; 6] = [0.5, 0.22, 0.12, 0.3, 0.35, 0.25];
+
+    /// Sweeps log-spaced offsets `±1e-12..1e-4` about the removable
+    /// singularity `t0` of `pulse` and checks each value against the
+    /// linear model `g(t0) + g'(t0)·d`, with `g'` from a wide central
+    /// difference. The smooth pulse stays within its curvature term of
+    /// that model; cancellation in the closed form would not.
+    fn assert_smooth_through(pulse: impl Fn(f64) -> f64, t0: f64, label: &str) {
+        let wide = 1e-3;
+        let slope = (pulse(t0 + wide) - pulse(t0 - wide)) / (2.0 * wide);
+        let g0 = pulse(t0);
+        for decade in -12..=-4 {
+            for mantissa in [1.0, 2.0, 5.0] {
+                for sign in [-1.0, 1.0] {
+                    let t = t0 + sign * mantissa * 10f64.powi(decade);
+                    let d = t - t0;
+                    let err = (pulse(t) - (g0 + slope * d)).abs();
+                    assert!(
+                        err <= 1e-9 + 10.0 * d * d,
+                        "{label}: t0 {t0} + {d:e} deviates {err:e} from the smooth pulse"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn srrc_is_smooth_through_its_quarter_point_singularity() {
+        for alpha in BUILTIN_ROLLOFFS {
+            let quarter = 1.0 / (4.0 * alpha);
+            for t0 in [quarter, -quarter] {
+                assert_smooth_through(|t| srrc_pulse(t, alpha), t0, &format!("srrc α={alpha}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rc_is_smooth_through_its_half_point_singularity() {
+        for alpha in BUILTIN_ROLLOFFS {
+            let half = 1.0 / (2.0 * alpha);
+            for t0 in [half, -half] {
+                assert_smooth_through(|t| rc_pulse(t, alpha), t0, &format!("rc α={alpha}"));
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::iqmod::IqImbalance;
 use crate::pa::PaModel;
+use rfbist_math::Complex64;
 
 /// All impairments applied along the Tx chain, in signal order:
 /// IQ modulator → PA → output attenuation.
@@ -57,9 +58,42 @@ impl TxImpairments {
         self
     }
 
+    /// The chain with the modulator's weights computed once, for
+    /// evaluating many samples of one unit.
+    pub fn prepared(&self) -> PreparedImpairments {
+        PreparedImpairments {
+            mu: self.iq.mu(),
+            nu: self.iq.nu(),
+            leakage: self.iq.leakage(),
+            pa: self.pa,
+            output_gain: self.output_gain,
+        }
+    }
+
     /// Applies the full impairment chain to one envelope sample.
-    pub fn apply(&self, a: rfbist_math::Complex64) -> rfbist_math::Complex64 {
-        self.pa.apply(self.iq.apply(a)) * self.output_gain
+    pub fn apply(&self, a: Complex64) -> Complex64 {
+        self.prepared().apply(a)
+    }
+}
+
+/// [`TxImpairments`] with the modulator weights `μ`, `ν` and the LO
+/// leakage fixed, so a sample costs the multiply-adds and the PA but
+/// not the modulator's `powf`/`cis`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PreparedImpairments {
+    mu: Complex64,
+    nu: Complex64,
+    leakage: Complex64,
+    pa: PaModel,
+    output_gain: f64,
+}
+
+impl PreparedImpairments {
+    /// Applies the chain, in signal order, to one envelope sample.
+    pub fn apply(&self, a: Complex64) -> Complex64 {
+        self.pa
+            .apply(self.mu * a + self.nu * a.conj() + self.leakage)
+            * self.output_gain
     }
 }
 
@@ -106,6 +140,29 @@ mod tests {
         // leakage 0.1 → PA: 10·0.1 = 1.0 but saturates toward 0.5
         assert!(out.abs() < 1.0);
         assert!(out.abs() > 0.3);
+    }
+
+    #[test]
+    fn prepared_chain_is_bit_identical_to_stage_by_stage() {
+        let profiles = [
+            TxImpairments::ideal(),
+            TxImpairments::typical(),
+            TxImpairments::ideal()
+                .with_iq(IqImbalance::new(0.8, -3.0, -25.0).with_leakage_phase(1.1))
+                .with_pa(PaModel::saleh_classic()),
+        ];
+        for imp in profiles {
+            for i in 0..200 {
+                let a = Complex64::from_polar(0.01 * i as f64, 0.37 * i as f64);
+                let got = imp.apply(a);
+                let want = imp.pa.apply(imp.iq.apply(a)) * imp.output_gain;
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{imp:?} at {a}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -117,15 +117,23 @@ impl PaModel {
         }
     }
 
-    /// Applies the nonlinearity to a complex envelope sample.
+    /// Applies the nonlinearity to a complex envelope sample:
+    /// `G(|x|)·e^{j(∠x + Φ(|x|))}`.
+    ///
+    /// Only [`Saleh`](Self::Saleh) has AM/PM and goes through polar
+    /// form. The other models keep the input's phase, so they scale
+    /// the sample by `G(r)/r` instead, with no `atan2` and no `sin_cos`.
+    /// That agrees with the polar form to a few ulp.
     pub fn apply(&self, x: Complex64) -> Complex64 {
         let r = x.abs();
         if r == 0.0 {
             return Complex64::ZERO;
         }
         let g = self.am_am(r);
-        let dphi = self.am_pm(r);
-        Complex64::from_polar(g, x.arg() + dphi)
+        match self {
+            PaModel::Saleh { .. } => Complex64::from_polar(g, x.arg() + self.am_pm(r)),
+            _ => x * (g / r),
+        }
     }
 
     /// Small-signal voltage gain (slope of AM/AM at the origin,
@@ -279,6 +287,60 @@ mod tests {
         let x = Complex64::from_polar(0.1, 1.2);
         let y = pa.apply(x);
         assert!((y.arg() - 1.2).abs() < 1e-12);
+    }
+
+    /// Envelope samples from 1e-6 to 10 in magnitude, all around the
+    /// circle, including both axes.
+    fn sweep() -> impl Iterator<Item = Complex64> {
+        (0..60).flat_map(|i| {
+            let r = 1e-6 * 10f64.powf(i as f64 / 8.5);
+            (0..48).map(move |j| Complex64::from_polar(r, j as f64 * std::f64::consts::PI / 24.0))
+        })
+    }
+
+    fn polar_form(pa: &PaModel, x: Complex64) -> Complex64 {
+        let r = x.abs();
+        Complex64::from_polar(pa.am_am(r), x.arg() + pa.am_pm(r))
+    }
+
+    #[test]
+    fn phase_preserving_models_match_polar_form_within_4_ulp() {
+        for pa in [
+            PaModel::linear_db(20.0),
+            PaModel::rapp(10.0, 40.0, 2.0),
+            PaModel::rapp(10.0, 1.0, 2.0),
+            PaModel::Polynomial {
+                a1: 10.0,
+                a3: -20.0,
+                a5: 3.0,
+            },
+        ] {
+            for x in sweep() {
+                let (got, want) = (pa.apply(x), polar_form(&pa, x));
+                // ulp of the output magnitude: a component near zero
+                // carries the polar form's cos(π/2) ≈ 6e-17 residue
+                let ulp = {
+                    let m = want.abs();
+                    f64::from_bits(m.to_bits() + 1) - m
+                };
+                for (a, b) in [(got.re, want.re), (got.im, want.im)] {
+                    assert!((a - b).abs() <= 4.0 * ulp, "{pa:?} at {x}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saleh_keeps_the_polar_form_bit_for_bit() {
+        let pa = PaModel::saleh_classic();
+        for x in sweep() {
+            let (got, want) = (pa.apply(x), polar_form(&pa, x));
+            assert_eq!(
+                (got.re.to_bits(), got.im.to_bits()),
+                (want.re.to_bits(), want.im.to_bits()),
+                "at {x}"
+            );
+        }
     }
 
     #[test]

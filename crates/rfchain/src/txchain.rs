@@ -4,7 +4,7 @@
 //! all pointwise on the complex envelope, so the RF output stays
 //! evaluable at arbitrary instants.
 
-use crate::impairments::TxImpairments;
+use crate::impairments::{PreparedImpairments, TxImpairments};
 use rfbist_math::Complex64;
 use rfbist_signal::bandpass::BandpassSignal;
 use rfbist_signal::baseband::ShapedBaseband;
@@ -66,7 +66,7 @@ impl<E: ComplexEnvelope + Clone> HomodyneTx<E> {
     pub fn impaired_envelope(&self) -> ImpairedEnvelope<E> {
         ImpairedEnvelope {
             baseband: self.baseband.clone(),
-            impairments: self.impairments,
+            impairments: self.impairments.prepared(),
         }
     }
 
@@ -135,10 +135,13 @@ impl<E: ComplexEnvelope + Clone> HomodyneTxBuilder<E> {
 }
 
 /// The impaired envelope view of a transmitter.
+///
+/// Holds the unit's [`TxImpairments::prepared`] chain, so the
+/// modulator weights are computed once per unit rather than per sample.
 #[derive(Clone, Debug)]
 pub struct ImpairedEnvelope<E> {
     baseband: E,
-    impairments: TxImpairments,
+    impairments: PreparedImpairments,
 }
 
 impl<E: ComplexEnvelope> ComplexEnvelope for ImpairedEnvelope<E> {

@@ -4,10 +4,18 @@
 //! I/Q waveform the paper's homodyne transmitter modulates onto the
 //! carrier. The truncated pulse span bounds each evaluation to
 //! `2·span + 1` symbol contributions.
+//!
+//! For the SRRC pulse the evaluation splits like a real modulator's
+//! datapath: coefficients fixed once per standard, multiply-accumulate
+//! per sample. A [`SrrcTable`] built at construction holds the tap
+//! phasors, so an evaluation costs two `sin_cos` of the fractional
+//! symbol phase plus, per contribution, one table row, a few
+//! multiplies and the closed form's division.
 
 use crate::pulse::PulseShape;
 use crate::symbols::Constellation;
 use crate::traits::ComplexEnvelope;
+use rfbist_dsp::srrc::SrrcTable;
 use rfbist_math::rng::Randomizer;
 use rfbist_math::Complex64;
 
@@ -34,6 +42,9 @@ pub struct ShapedBaseband {
     symbols: Vec<Complex64>,
     pulse: PulseShape,
     symbol_period: f64,
+    /// Tap phasors for an SRRC pulse with `α ∈ (0, 1]`; `None` for
+    /// every other pulse, which evaluates through [`PulseShape::eval`].
+    srrc: Option<SrrcTable>,
 }
 
 impl ShapedBaseband {
@@ -46,10 +57,15 @@ impl ShapedBaseband {
     pub fn new(symbols: Vec<Complex64>, pulse: PulseShape, symbol_rate: f64) -> Self {
         assert!(symbol_rate > 0.0, "symbol rate must be positive");
         assert!(!symbols.is_empty(), "at least one symbol required");
+        let srrc = match pulse {
+            PulseShape::Srrc { alpha, span } => SrrcTable::new(alpha, span),
+            _ => None,
+        };
         ShapedBaseband {
             symbols,
             pulse,
             symbol_period: 1.0 / symbol_rate,
+            srrc,
         }
     }
 
@@ -123,10 +139,15 @@ impl ShapedBaseband {
 impl ComplexEnvelope for ShapedBaseband {
     fn eval_iq(&self, t: f64) -> Complex64 {
         let tn = t / self.symbol_period; // time in symbol periods
+        if let Some(table) = &self.srrc {
+            return table.eval(&self.symbols, tn);
+        }
         let span = self.pulse.span() as isize;
         let center = tn.floor() as isize;
-        let lo = (center - span).max(0);
-        let hi = (center + span + 1).min(self.symbols.len() as isize - 1);
+        let lo = center.saturating_sub(span).max(0);
+        let hi = center
+            .saturating_add(span + 1)
+            .min(self.symbols.len() as isize - 1);
         let mut acc = Complex64::ZERO;
         let mut k = lo;
         while k <= hi {
@@ -230,6 +251,23 @@ mod tests {
         }
         let rms = (acc / n as f64).sqrt();
         assert!((rms - 1.0).abs() < 0.15, "rms {rms}");
+    }
+
+    #[test]
+    fn infinite_time_is_outside_the_burst() {
+        // `floor() as isize` saturates at ±inf; the tap range must too
+        let rc = ShapedBaseband::new(
+            vec![Complex64::ONE; 8],
+            PulseShape::Rc {
+                alpha: 0.5,
+                span: 4,
+            },
+            1.0,
+        );
+        for bb in [test_bb(32), rc] {
+            assert_eq!(bb.eval_iq(f64::INFINITY), Complex64::ZERO);
+            assert_eq!(bb.eval_iq(f64::NEG_INFINITY), Complex64::ZERO);
+        }
     }
 
     #[test]
